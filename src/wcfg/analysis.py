@@ -115,34 +115,8 @@ def is_cycle_free(grammar):
     edges = _cycle_edges(grammar, nullable)
     best = None
     for origin in grammar.variables:
-        # BFS back to the origin; parents give the hop list
-        parent = {}
-        queue = [origin]
-        found = None
-        while queue and found is None:
-            nxt = []
-            for u in queue:
-                for v, ri, pos in edges[u]:
-                    if v == origin:
-                        found = (u, ri, pos)
-                        break
-                    if v not in parent:
-                        parent[v] = (u, ri, pos)
-                        nxt.append(v)
-                if found is not None:
-                    break
-            queue = nxt
-        if found is None:
-            continue
-        hops = [found]
-        u = found[0]
-        while u != origin:
-            back = parent[u]
-            hops.append((back[0], back[1], back[2]))
-            u = back[0]
-        hops.reverse()
-        hops = [(ri, pos) for _, ri, pos in hops]
-        if best is None or len(hops) < len(best[1]):
+        hops = _shortest_path(origin, origin, edges)
+        if hops is not None and (best is None or len(hops) < len(best[1])):
             best = (origin, hops)
     if best is None:
         return True, None
@@ -210,28 +184,27 @@ def _reachability(grammar, edges):
 
 
 def _shortest_path(origin, goal, edges):
-    """Hop list [(rule, pos), ...] of a shortest occurrence path from
-    origin to goal; [] when origin == goal."""
-    if origin == goal:
-        return []
-    parent = {origin: None}
+    """Hop list [(rule, pos), ...] of a shortest nonempty path from
+    origin to goal in an edge map (a cycle when origin == goal), or
+    None when goal is unreachable.  Ties go to the edge met first."""
+    parent = {}
     queue = [origin]
     while queue:
         nxt = []
         for u in queue:
             for v, ri, pos in edges[u]:
-                if v not in parent:
-                    parent[v] = (u, ri, pos)
-                    if v == goal:
-                        hops = []
-                        node = v
-                        while parent[node] is not None:
-                            back = parent[node]
-                            hops.append((back[1], back[2]))
-                            node = back[0]
-                        hops.reverse()
-                        return hops
-                    nxt.append(v)
+                if v in parent:
+                    continue
+                parent[v] = (u, ri, pos)
+                if v == goal:
+                    hops = []
+                    while True:
+                        u, ri, pos = parent[v]
+                        hops.append((ri, pos))
+                        if u == origin:
+                            return hops[::-1]
+                        v = u
+                nxt.append(v)
         queue = nxt
     return None
 
@@ -258,7 +231,7 @@ def is_nonexpansive(grammar):
                 continue
             i, j = spots[0], spots[1]
             form = _Form(x)
-            hops = _shortest_path(x, rule.lhs, edges)
+            hops = [] if x == rule.lhs else _shortest_path(x, rule.lhs, edges)
             target = form.root
             for hri, hpos in hops:
                 fresh = form.apply(target, hri, grammar.rules[hri])
@@ -266,7 +239,8 @@ def is_nonexpansive(grammar):
             fresh = form.apply(target, ri, rule)
             for pos in (i, j):
                 cell = fresh[pos]
-                for hri, hpos in _shortest_path(cell.sym, x, edges):
+                back = [] if cell.sym == x else _shortest_path(cell.sym, x, edges)
+                for hri, hpos in back:
                     inner = form.apply(cell, hri, grammar.rules[hri])
                     cell = inner[hpos]
             witness = ExpansiveWitness(x, ri, (i, j), form.derivation())

@@ -169,6 +169,14 @@ def cmd_groebner(args):
     return 0
 
 
+def nonnegative(text):
+    """Argument type for a nonnegative integer such as a truncation order."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wcfg", description="weighted context-free grammar analysis toolkit"
@@ -181,7 +189,7 @@ def build_parser():
 
     p = sub.add_parser("series", help="truncated letter-count series")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True, help="truncation order")
+    p.add_argument("--order", type=nonnegative, required=True, help="truncation order")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("regularize", help="Parikh-equivalent regular grammar")
@@ -200,7 +208,7 @@ def build_parser():
     p = sub.add_parser("equiv", help="compare truncated series of two documents")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--order", type=int, required=True, help="truncation order")
+    p.add_argument("--order", type=nonnegative, required=True, help="truncation order")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("groebner", help="reduced basis of the equation system")

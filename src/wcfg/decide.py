@@ -14,12 +14,12 @@ symbolically.  A witness grammar is rebuilt from the linear form
 X = s*X + t, whose fixed point is the series itself.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import is_cycle_free
 from .errors import (
-    DegenerateLeadingTerm,
     IterationCapExceeded,
     NotCycleFree,
     NoUnivariateElement,
@@ -33,47 +33,13 @@ from .groebner import (
     system_polynomials,
     univar_build,
     univar_coefficients,
+    univar_divmod,
     univar_gcd_squarefree,
 )
 from .linalg import nullspace
 from .monomials import monomials_up_to_degree, mono_divides, mono_div
 from .polynomials import Polynomial, RationalFunction, poly_lcm
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """The one-variable recursion X = s*X + t extracted from a linear
-    annihilator c*X - d: s = 1 - c/c(0), t = d/c(0).  The constant term
-    of s is zero by construction, so the recursion has a unique series
-    fixed point."""
-
-    s: Polynomial
-    t: Polynomial
-    c: Polynomial
-    d: Polynomial
-
-    def __post_init__(self):
-        assert self.s.constant_term() == 0
-
-    @classmethod
-    def from_annihilator(cls, c, d):
-        """Build the recursion from the annihilator c*X - d; raises
-        DegenerateLeadingTerm when c has no constant term."""
-        c0 = c.constant_term()
-        if c0 == 0:
-            raise DegenerateLeadingTerm(
-                "linear annihilator's leading coefficient vanishes at the origin; "
-                "the recursion X = s*X + t has no admissible normalization"
-            )
-        inv = Fraction(1) / c0
-        s = (Polynomial.const(c.syms, c0) - c).scale(inv)
-        t = d.scale(inv)
-        return cls(s, t, c, d)
-
-    def witness(self, terminals, start):
-        """The one-variable regular grammar realizing the recursion."""
-        return grammar_from_linear(self.c, self.d, terminals, start)
 
 
 @dataclass(frozen=True)
@@ -135,24 +101,14 @@ def clear_denominators(g):
         if not p.is_zero():
             c = p.content()
             content = Fraction(
-                _int_gcd(content.numerator, abs(c.numerator)),
-                _int_lcm(content.denominator, c.denominator),
+                math.gcd(content.numerator, abs(c.numerator)),
+                math.lcm(content.denominator, c.denominator),
             )
     cleared = [p.scale(1 / content) for p in cleared]
     _, first = cleared[-1].first_term()
     if first < 0:
         cleared = [-p for p in cleared]
     return univar_build(g, [RationalFunction.from_poly(p) for p in cleared], name)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _int_lcm(a, b):
-    return a * b // _int_gcd(a, b)
 
 
 def _univar_name(p):
@@ -237,24 +193,6 @@ def discriminate_factor(candidates, system, max_order=256):
     )
 
 
-def _univar_division(num, den):
-    """Quotient and remainder of ascending fraction-field coefficient
-    lists; den's top entry must be nonzero."""
-    num = list(num)
-    m = len(den) - 1
-    n = len(num) - 1
-    if n < m:
-        return [], num
-    quot = [None] * (n - m + 1)
-    for i in range(n - m, -1, -1):
-        f = num[i + m] / den[m]
-        quot[i] = f
-        if not f.is_zero():
-            for j in range(m + 1):
-                num[i + j] = num[i + j] - f * den[j]
-    return quot, num[:m]
-
-
 def decide_parikh(g, max_rounds=12):
     """Decide the Parikh property of a rational-weighted cycle-free
     grammar; returns a DecisionReport either way.
@@ -281,60 +219,58 @@ def decide_parikh(g, max_rounds=12):
     squarefree = univar_gcd_squarefree(cleared, name)
     certificate = clear_denominators(squarefree)
 
-    coeffs = univar_coefficients(certificate, name)
-    degree = len(coeffs) - 1
-    if degree == 1:
-        c, d = coeffs[1].num, (-coeffs[0]).num
-        form = LinearForm.from_annihilator(c, d)
+    if certificate.degree_in(name) == 1:
+        linear, order = certificate, 0
+    else:
+        linear, order = _linear_factor(certificate, system, max_rounds)
+    if linear is None:
         return DecisionReport(
-            verdict="holds",
+            verdict="fails",
             q=certificate,
-            witness=form.witness(g.terminals, g.start),
+            witness=None,
             basis_g=basis_g,
-            discrimination_order=0,
+            discrimination_order=order,
         )
+    coeffs = univar_coefficients(linear, name)
+    c, d = coeffs[1].num, (-coeffs[0]).num
+    return DecisionReport(
+        verdict="holds",
+        q=linear,
+        witness=grammar_from_linear(c, d, g.terminals, g.start),
+        basis_g=basis_g,
+        discrimination_order=order,
+    )
 
+
+def _linear_factor(certificate, system, max_rounds):
+    """(q, order): a cleared linear factor q of the certificate whose
+    root is the start series, or None when the reconstruction space at
+    that order is empty, so that no linear annihilator exists.
+
+    Round i reconstructs the series as a ratio of polynomials of degree
+    at most D, the largest degree among the certificate's coefficients,
+    at order (2D + 1) * 2**i."""
+    name = system.variables[0]
+    coeffs = univar_coefficients(certificate, name)
     D = max(c.num.total_degree() for c in coeffs if not c.is_zero())
-    base = 2 * D + 1
-    order = base
-    for _ in range(max_rounds):
+    orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
+    for order in orders:
         r1 = approximate(system, order)[0]
         space = _reconstruction_space(r1, D, order)
         if not space:
-            return DecisionReport(
-                verdict="fails",
-                q=certificate,
-                witness=None,
-                basis_g=basis_g,
-                discrimination_order=order,
-            )
+            return None, order
         for c, d in space:
             linear = _linear_system_poly(certificate, name, c, d)
-            quot, rem = _univar_division(
-                univar_coefficients(certificate, name),
-                univar_coefficients(linear, name),
-            )
-            if any(not r.is_zero() for r in rem):
+            quot, rem = univar_divmod(coeffs, univar_coefficients(linear, name))
+            if rem:
                 continue
             cofactor = clear_denominators(univar_build(certificate, quot, name))
-            winner = discriminate_factor(
-                [clear_denominators(linear), cofactor], system
-            )
-            if winner == 0:
-                normalized = clear_denominators(linear)
-                ncoeffs = univar_coefficients(normalized, name)
-                nc, nd = ncoeffs[1].num, (-ncoeffs[0]).num
-                form = LinearForm.from_annihilator(nc, nd)
-                return DecisionReport(
-                    verdict="holds",
-                    q=normalized,
-                    witness=form.witness(g.terminals, g.start),
-                    basis_g=basis_g,
-                    discrimination_order=order,
-                )
-        order *= 2
+            normalized = clear_denominators(linear)
+            if discriminate_factor([normalized, cofactor], system) == 0:
+                return normalized, order
+    last = f"last order {orders[-1]}" if orders else "no order tried"
     raise IterationCapExceeded(
-        f"no linear-factor certificate after {max_rounds} rounds (last order {order // 2})"
+        f"no linear-factor certificate after {max_rounds} rounds ({last})"
     )
 
 

@@ -268,5 +268,13 @@ def render_grammar(g):
 
 
 def load_grammar(path):
+    """Parse the grammar document at `path`; a file that is not UTF-8
+    text raises GrammarFormatError like any other malformed document."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise GrammarFormatError(
+                f"{path}: not UTF-8 text (byte {err.start}: {err.reason})"
+            ) from None
+    return parse_grammar(text)

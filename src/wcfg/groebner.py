@@ -12,7 +12,6 @@ exists.
 from fractions import Fraction
 
 from .monomials import (
-    grade_key,
     mono_div,
     mono_divides,
     mono_gcd,
@@ -36,25 +35,12 @@ class MonomialOrder:
     def key(self, mono):
         return tuple(reversed(mono))
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.variables == other.variables
 
     def __repr__(self):
         prec = " > ".join(reversed(self.variables))
         return f"MonomialOrder({prec})"
-
-
-def monomial_cmp(order, a, b):
-    """-1, 0, or 1 as a is below, equal to, or above b in the order."""
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 class SystemPolynomial:
@@ -382,18 +368,24 @@ def _ulist_monic(cs):
     return [c * inv for c in cs]
 
 
-def _ulist_mod(a, b):
-    """Remainder of a modulo b (b monic), as coefficient lists."""
-    a = list(a)
+def univar_divmod(a, b):
+    """Quotient and remainder of ascending coefficient lists over K:
+    a = quot * b + rem, the remainder trimmed of top zeros.  b's top
+    entry must be nonzero; it is inverted once, not at every step."""
+    rem = list(a)
     db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        if not lead.is_zero():
-            for k in range(db + 1):
-                a[shift + k] = a[shift + k] - lead * b[k]
-        a.pop()
-    return _ulist_trim(a)
+    if len(rem) <= db:
+        return [], _ulist_trim(rem)
+    inv = None if b[-1].is_one() else b[-1].invert()
+    quot = [None] * (len(rem) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        lead = rem.pop()
+        q = lead if inv is None else lead * inv
+        quot[shift] = q
+        if not q.is_zero():
+            for k in range(db):
+                rem[shift + k] = rem[shift + k] - q * b[k]
+    return quot, _ulist_trim(rem)
 
 
 def univar_gcd_squarefree(p, name=None):
@@ -406,30 +398,11 @@ def univar_gcd_squarefree(p, name=None):
         return univar_build(p, [RationalFunction.const(p.syms, 1)], name)
     der = _ulist_trim([c * RationalFunction.const(p.syms, d)
                        for d, c in enumerate(cs)][1:])
-    a, b = _ulist_monic(cs), _ulist_monic(der) if der else []
+    monic = _ulist_monic(cs)
+    a, b = monic, _ulist_monic(der) if der else []
     while b:
-        a, b = b, _ulist_mod(a, b)
+        a, b = b, univar_divmod(a, b)[1]
         if b:
             b = _ulist_monic(b)
-    g = a
-    sf = _ulist_divexact(_ulist_monic(cs), g)
+    sf, _ = univar_divmod(monic, a)
     return univar_build(p, _ulist_monic(sf), name)
-
-
-def _ulist_divexact(a, b):
-    """Quotient a / b for monic b dividing a exactly."""
-    a = list(a)
-    db = len(b) - 1
-    if db == 0:
-        inv = b[0].invert()
-        return [c * inv for c in a]
-    out = []
-    while len(a) - 1 >= db:
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        out.append(lead)
-        for k in range(db + 1):
-            a[shift + k] = a[shift + k] - lead * b[k]
-        a.pop()
-    out.reverse()
-    return out

@@ -47,10 +47,6 @@ def grade_key(m):
     return (sum(m), tuple(-e for e in m))
 
 
-def mono_pow(m, e):
-    return tuple(a * e for a in m)
-
-
 def render_monomial(m, names):
     """`a^2*b` style; the empty monomial renders as `1`."""
     parts = []
@@ -66,14 +62,6 @@ def monomials_up_to_degree(n, k):
     """All exponent tuples of length n with total degree <= k, in canonical
     ascending order."""
     out = []
-
-    def fill(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            fill(prefix + [e], remaining - e, slots - 1)
-
     for m in range(k + 1):
         level = []
 

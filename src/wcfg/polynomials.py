@@ -242,7 +242,7 @@ def render_polynomial(p):
     return " ".join(parts)
 
 
-def _divide_exact(p, q):
+def poly_divexact(p, q):
     """Exact division p / q in Q[syms]; raises NotDivisible on a remainder."""
     if q.is_zero():
         raise DivisionByZeroPolynomial("polynomial division by zero")
@@ -270,14 +270,10 @@ def _divide_exact(p, q):
     return Polynomial(p.syms, quot)
 
 
-def poly_divexact(p, q):
-    return _divide_exact(p, q)
-
-
 def poly_divides(q, p):
     """Does q divide p exactly?"""
     try:
-        _divide_exact(p, q)
+        poly_divexact(p, q)
         return True
     except NotDivisible:
         return False

@@ -26,7 +26,6 @@ Three stages, all weight-preserving in the sense stated with each:
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 from .analysis import degree, dimension_bound, is_nonexpansive
 from .errors import ExpansiveGrammar, GrammarFormatError, KTooSmall
@@ -41,30 +40,6 @@ from .trees import (
 
 EXACT = "e"
 ATMOST = "m"
-
-
-@dataclass(frozen=True)
-class AnnotatedVariable:
-    """A grammar variable carrying a dimension annotation.
-
-    `mode` is EXACT ("e", parse trees of dimension exactly `level`) or
-    ATMOST ("m", dimension at most `level`).
-    """
-
-    base: str
-    level: int
-    mode: str
-
-    @property
-    def name(self):
-        return f"{self.base}.{self.level}.{self.mode}"
-
-    @classmethod
-    def parse(cls, name):
-        if not ANNOTATED_NAME.match(name):
-            raise ValueError(f"not an annotated variable name: {name!r}")
-        base, level, mode = name.rsplit(".", 2)
-        return cls(base, int(level), mode)
 
 
 def is_annotated(name):
@@ -182,19 +157,24 @@ def at_most_k_grammar(g, k):
 
     # Annotations the rule families never produce for (variables whose
     # base has no rule of the matching shape) would be declared without
-    # rules; drop them, and transitively the rules that mention them.
-    # The start stays declared so an empty annotated grammar fails
-    # loudly rather than with a bogus undeclared-start complaint.
-    while True:
-        ruled = {r.lhs for r in produced}
-        dead = {v for v in declared if v not in ruled and v != start}
-        if not dead:
-            break
-        declared = [v for v in declared if v not in dead]
-        produced = [r for r in produced
-                    if r.lhs not in dead and not any(s in dead for s in r.rhs)]
-
+    # rules; drop them.
+    declared, produced = _trim(declared, produced, start)
     return Grammar(g.semiring, g.terminals, declared, start, produced)
+
+
+def _trim(names, rules, start):
+    """Drop the names that head no rule, and transitively the rules that
+    mention them; both lists keep their order.  The start stays declared
+    so that an empty grammar fails loudly rather than with a bogus
+    undeclared-start complaint."""
+    while True:
+        ruled = {r.lhs for r in rules}
+        dead = {n for n in names if n not in ruled and n != start}
+        if not dead:
+            return names, rules
+        names = [n for n in names if n not in dead]
+        rules = [r for r in rules
+                 if r.lhs not in dead and not any(s in dead for s in r.rhs)]
 
 
 def ldf_sort(sentence):
@@ -231,25 +211,6 @@ def ldf_derivation(grammar, tree):
     assert derivation_index(grammar, derivation) <= k * m + 1
     assert replay_derivation(grammar, derivation)[-1] == tuple(tree_yield(grammar, tree))
     return derivation
-
-
-@dataclass(frozen=True)
-class RegularState:
-    """A stack of pending annotated variables, the head to be derived
-    first.  Reachable stacks are nondecreasing in level and no longer
-    than k*m + 1."""
-
-    variables: tuple
-
-    @property
-    def name(self):
-        return "<" + "|".join(self.variables) + ">"
-
-    @classmethod
-    def parse(cls, name):
-        if not (name.startswith("<") and name.endswith(">")):
-            raise ValueError(f"not a state name: {name!r}")
-        return cls(tuple(name[1:-1].split("|")))
 
 
 def _state_name(stack):
@@ -313,18 +274,9 @@ def regularize(g, k=None):
                 states.append(successor)
                 queue.append(successor)
 
-    names = [_state_name(s) for s in states]
     start_name = _state_name(start_stack)
-    while True:
-        ruled = {lhs for lhs, _ in order}
-        dead = {n for n in names if n not in ruled and n != start_name}
-        if not dead:
-            break
-        names = [n for n in names if n not in dead]
-        order = [(lhs, rhs) for lhs, rhs in order
-                 if lhs not in dead and not any(s in dead for s in rhs)]
-
     rules = [Rule(lhs, rhs, weights[(lhs, rhs)]) for lhs, rhs in order]
+    names, rules = _trim([_state_name(s) for s in states], rules, start_name)
     return Grammar(g.semiring, g.terminals, names, start_name, rules)
 
 
@@ -336,7 +288,7 @@ def project_tree(annotated, tree, original):
 
     def walk(t):
         rule = annotated.rules[t.rule]
-        if AnnotatedVariable.parse(rule.lhs).mode == ATMOST:
+        if rule.lhs.endswith("." + ATMOST):
             return walk(t.children[0])
         lhs = strip_annotation(rule.lhs)
         rhs = tuple(strip_annotation(s) for s in rule.rhs)

@@ -117,3 +117,67 @@ def test_dimension_bound_raises_on_expansive_input():
         with pytest.raises(ExpansiveGrammar) as err:
             dimension_bound(load_fixture(name))
         assert err.value.witness is not None
+
+
+# Golden witnesses on grammars that offer ties: equal-length cycles from
+# one origin, and several rules able to duplicate a variable.  The exact
+# variables and derivation steps pin the search order.
+
+def test_cycle_witness_golden_equal_length_unit_cycles():
+    g = doc(["X -> Y : 1", "X -> Z : 1", "Y -> X : 1", "Z -> X : 1",
+             "Y -> a : 1", "Z -> a : 1"])
+    ok, witness = is_cycle_free(g)
+    assert not ok
+    assert witness.variables == ("X", "Y", "X")
+    assert witness.derivation.start == ("X",)
+    assert witness.derivation.steps == ((0, 0), (0, 2))
+
+
+def test_cycle_witness_golden_nullable_siblings():
+    g = doc(["X -> Y Z : 1", "X -> Z Y : 1", "Y -> X : 1", "Y -> a : 1",
+             "Z -> eps : 1", "Z -> b : 1"])
+    ok, witness = is_cycle_free(g)
+    assert not ok
+    assert witness.variables == ("X", "Y", "X")
+    assert witness.derivation.start == ("X",)
+    assert witness.derivation.steps == ((0, 0), (1, 4), (0, 2))
+
+
+def test_cycle_witness_golden_prefers_a_shorter_later_cycle():
+    g = doc(["X -> Y : 1", "Y -> X : 1", "Y -> a : 1", "Z -> Z W : 1",
+             "Z -> b : 1", "W -> eps : 1", "W -> W W : 1"], variables="X Y Z W")
+    ok, witness = is_cycle_free(g)
+    assert not ok
+    assert witness.variables == ("Z", "Z")
+    assert witness.derivation.start == ("Z",)
+    assert witness.derivation.steps == ((0, 3), (1, 5))
+
+
+def _expansive_golden(g):
+    ok, witness = is_nonexpansive(g)
+    assert not ok
+    return (witness.variable, witness.rule, witness.positions,
+            witness.derivation.start, witness.derivation.steps)
+
+
+def test_expansive_witness_golden_duplicating_rule_of_the_variable():
+    g = doc(["X -> Y Y : 1", "X -> a : 1", "Y -> a X : 1", "Y -> b X : 1",
+             "Y -> a : 1"], variables="X Y")
+    assert _expansive_golden(g) == (
+        "X", 0, (0, 1), ("X",), ((0, 0), (0, 2), (2, 2)))
+
+
+def test_expansive_witness_golden_two_duplicating_rules_behind_a_path():
+    g = doc(["S -> a A : 1", "A -> b B : 1", "A -> c B : 1", "B -> S S : 1",
+             "B -> S a S : 1", "B -> a : 1"], variables="S A B",
+            terminals="a b c")
+    assert _expansive_golden(g) == (
+        "S", 3, (0, 1), ("S",), ((0, 0), (1, 1), (2, 3)))
+
+
+def test_expansive_witness_golden_paths_back_from_both_copies():
+    g = doc(["S -> a A : 1", "S -> b : 1", "A -> B c B : 1", "A -> c B B : 1",
+             "B -> a S : 1", "B -> b A : 1"], variables="S A B",
+            terminals="a b c")
+    assert _expansive_golden(g) == (
+        "S", 2, (0, 2), ("S",), ((0, 0), (1, 2), (1, 4), (4, 4)))

@@ -203,6 +203,36 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: line 5:")
 
 
+def test_non_utf8_document_is_a_format_error(tmp_path, capsys):
+    doc = tmp_path / "latin1.wcfg"
+    doc.write_bytes(b"semiring Q\nterminals a\xff\n")
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "catalan.wcfg", "--order", "-1"),
+    ("equiv", "catalan.wcfg", "catalan.wcfg", "--order", "-3"),
+])
+def test_negative_order_is_a_usage_error(argv, capsys):
+    argv = [fixture_path(a) if a.endswith(".wcfg") else a for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
+def test_order_zero_is_accepted(capsys):
+    code, out, _ = run(capsys, "series", fixture_path("unary_double.wcfg"),
+                       "--order", "0")
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/path.wcfg")
     assert code == 2

@@ -5,7 +5,6 @@ import pytest
 from wcfg import (
     DegenerateLeadingTerm,
     IterationCapExceeded,
-    LinearForm,
     NotCycleFree,
     Polynomial,
     RationalFunction,
@@ -16,6 +15,7 @@ from wcfg import (
     decide_parikh,
     discriminate_factor,
     eliminate_to_univariate,
+    grammar_from_linear,
     grammar_series,
     parse_grammar,
     rational_reconstruct,
@@ -164,11 +164,8 @@ def test_linear_form_normalizes_the_recursion():
     syms = ("a",)
     one = Polynomial.const(syms, 1)
     a = Polynomial.variable(syms, "a")
-    form = LinearForm.from_annihilator(one.scale(2) - a.scale(4), one.scale(2))
     # (2 - 4a) X = 2  =>  X = 2a X + 1
-    assert form.s == a.scale(2)
-    assert form.t == one
-    witness = form.witness(syms, "X")
+    witness = grammar_from_linear(one.scale(2) - a.scale(4), one.scale(2), syms, "X")
     assert [(r.rhs, r.weight) for r in witness.rules] == [
         ((), Fraction(1)), (("a", "X"), Fraction(2))]
 
@@ -177,7 +174,7 @@ def test_linear_form_rejects_vanishing_leading_coefficient():
     syms = ("a",)
     a = Polynomial.variable(syms, "a")
     with pytest.raises(DegenerateLeadingTerm):
-        LinearForm.from_annihilator(a, a)
+        grammar_from_linear(a, a, syms, "X")
 
 
 def test_clear_denominators_golden():
@@ -246,3 +243,14 @@ def test_reconstruction_succeeds_within_the_first_round():
     report = decide_parikh(g, max_rounds=1)
     assert report.verdict == "holds"
     assert report.discrimination_order == 11
+
+
+def test_round_cap_names_the_last_order_tried(monkeypatch):
+    g = load_fixture("catalan_cancellation.wcfg")
+    with pytest.raises(IterationCapExceeded, match=r"after 0 rounds \(no order tried\)"):
+        decide_parikh(g, max_rounds=0)
+    # with discrimination always rejecting the linear factor, every
+    # round runs: orders 11 and 22
+    monkeypatch.setattr("wcfg.decide.discriminate_factor", lambda candidates, system: 1)
+    with pytest.raises(IterationCapExceeded, match=r"after 2 rounds \(last order 22\)"):
+        decide_parikh(g, max_rounds=2)

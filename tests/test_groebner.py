@@ -12,13 +12,13 @@ from wcfg import (
     algebraic_system,
     eliminate_to_univariate,
     groebner_basis,
-    monomial_cmp,
     poly_reduce,
     reduce_basis,
     render_system_polynomial,
     system_polynomials,
     univar_build,
     univar_coefficients,
+    univar_divmod,
     univar_gcd_squarefree,
 )
 from wcfg.groebner import buchberger, s_polynomial
@@ -50,10 +50,10 @@ ONE = Polynomial.const(SYMS, 1)
 def test_monomial_order_eliminates_later_variables_first():
     # X2 outranks any power of X1, so basis elements low in the order
     # are free of the later variables
-    assert monomial_cmp(ORDER, (3, 0), (0, 1)) == -1
-    assert monomial_cmp(ORDER, (0, 0), (1, 0)) == -1
-    assert monomial_cmp(ORDER, (0, 1), (1, 0)) == 1
-    assert monomial_cmp(ORDER, (1, 1), (1, 1)) == 0
+    assert ORDER.key((3, 0)) < ORDER.key((0, 1))
+    assert ORDER.key((0, 0)) < ORDER.key((1, 0))
+    assert ORDER.key((0, 1)) > ORDER.key((1, 0))
+    assert ORDER.key((1, 1)) == ORDER.key((1, 1))
 
 
 def test_lead_monomial_and_monic():
@@ -203,6 +203,20 @@ def test_univar_build_round_trip():
     univar = eliminate_to_univariate(algebraic_system(g))
     rebuilt = univar_build(univar, univar_coefficients(univar))
     assert render_system_polynomial(rebuilt) == render_system_polynomial(univar)
+
+
+def test_univar_divmod():
+    # X^3 - a = (X^2 + a X + a^2)(X - a) + (a^3 - a)
+    quot, rem = univar_divmod([rfp(-A), rf(0), rf(0), rf(1)], [rfp(-A), rf(1)])
+    assert quot == [rfp(A * A), rfp(A), rf(1)]
+    assert rem == [rfp(A * A * A - A)]
+    # a non-monic divisor: (2a X^2 - 2a) / (a X - a) = 2 X + 2, exactly
+    quot, rem = univar_divmod([rfp(A.scale(-2)), rf(0), rfp(A.scale(2))],
+                              [rfp(-A), rfp(A)])
+    assert quot == [rf(2), rf(2)]
+    assert rem == []
+    # a dividend below the divisor's degree is its own trimmed remainder
+    assert univar_divmod([rfp(A), rf(0)], [rf(1), rf(0), rf(1)]) == ([], [rfp(A)])
 
 
 def test_univar_gcd_squarefree():
