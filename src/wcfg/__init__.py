@@ -15,7 +15,6 @@ from .analysis import (
     dimension_bound,
     is_cycle_free,
     is_nonexpansive,
-    nullable_variables,
 )
 from .decide import (
     DecisionReport,
@@ -28,30 +27,23 @@ from .decide import (
 )
 from .errors import (
     DegenerateLeadingTerm,
-    DivisionByZeroPolynomial,
     EnumerationBudgetExceeded,
     ExpansiveGrammar,
     GrammarFormatError,
     IterationCapExceeded,
     KTooSmall,
-    MissingRules,
-    NoUnivariateElement,
     NonConvergent,
-    NonRegularSystem,
     NonUnitDenominatorAtOrigin,
     NotCycleFree,
-    NotDivisible,
     WcfgError,
     WrongSemiring,
-    ZeroDenominator,
 )
-from .grammar import Grammar, Rule, load_grammar, parse_grammar, render_grammar
+from .grammar import load_grammar, parse_grammar, render_grammar
 from .groebner import (
     MonomialOrder,
     SystemPolynomial,
     groebner_basis,
     poly_reduce,
-    reduce_basis,
     render_system_polynomial,
     system_polynomials,
     univar_build,
@@ -59,30 +51,17 @@ from .groebner import (
     univar_divmod,
     univar_gcd_squarefree,
 )
-from .polynomials import Polynomial, RationalFunction, render_polynomial, render_ratfun
-from .regularize import (
-    at_most_k_grammar,
-    ldf_derivation,
-    ldf_sort,
-    project_tree,
-    regularize,
-)
-from .semirings import NATURALS, RATIONALS, SEMIRINGS, TROPICAL, Semiring
+from .polynomials import Polynomial, RationalFunction
+from .regularize import at_most_k_grammar, ldf_derivation, project_tree, regularize
 from .series import (
-    AlgebraicSystem,
     TruncatedSeries,
     algebraic_system,
-    approximate,
-    grammar_series,
     grammar_from_linear,
-    regular_system_to_grammar,
+    grammar_series,
     render_series,
     series_expand,
 )
 from .trees import (
-    DerivationSequence,
-    ParseTree,
-    derivation_from_tree,
     derivation_index,
     enumerate_trees,
     parikh_series_bruteforce,
@@ -94,48 +73,30 @@ from .trees import (
 )
 
 __all__ = [
-    "AlgebraicSystem",
     "CycleWitness",
     "DecisionReport",
     "DegenerateLeadingTerm",
-    "DerivationSequence",
-    "DivisionByZeroPolynomial",
     "EnumerationBudgetExceeded",
     "ExpansiveGrammar",
     "ExpansiveWitness",
-    "Grammar",
     "GrammarFormatError",
     "IterationCapExceeded",
     "KTooSmall",
-    "MissingRules",
     "MonomialOrder",
-    "NATURALS",
-    "NoUnivariateElement",
     "NonConvergent",
-    "NonRegularSystem",
     "NonUnitDenominatorAtOrigin",
     "NotCycleFree",
-    "NotDivisible",
-    "ParseTree",
     "Polynomial",
-    "RATIONALS",
     "RationalFunction",
-    "Rule",
-    "SEMIRINGS",
-    "Semiring",
     "SystemPolynomial",
-    "TROPICAL",
     "TruncatedSeries",
     "WcfgError",
     "WrongSemiring",
-    "ZeroDenominator",
     "algebraic_system",
-    "approximate",
     "at_most_k_grammar",
     "clear_denominators",
     "decide_parikh",
     "degree",
-    "derivation_from_tree",
     "derivation_index",
     "dimension_bound",
     "discriminate_factor",
@@ -147,20 +108,14 @@ __all__ = [
     "is_cycle_free",
     "is_nonexpansive",
     "ldf_derivation",
-    "ldf_sort",
     "load_grammar",
-    "nullable_variables",
     "parikh_series_bruteforce",
     "parse_grammar",
     "poly_reduce",
     "project_tree",
     "rational_reconstruct",
-    "reduce_basis",
-    "regular_system_to_grammar",
     "regularize",
     "render_grammar",
-    "render_polynomial",
-    "render_ratfun",
     "render_report",
     "render_series",
     "render_system_polynomial",

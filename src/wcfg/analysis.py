@@ -7,10 +7,10 @@ shortest paths so that witnesses are small and deterministic.
 """
 
 from .errors import ExpansiveGrammar
-from .grammar import Grammar
 from .trees import (
-    DerivationSequence,
     ParseTree,
+    SententialForm,
+    combine_dimensions,
     min_yield_lengths,
     tree_size,
 )
@@ -42,40 +42,6 @@ def _eps_trees(grammar, nullable):
                 best[rule.lhs] = tree
                 changed = True
     return best
-
-
-class _Form:
-    """A sentential form as a list of cells, supporting rule application
-    at a tracked cell and full collapse of nullable cells; records every
-    step as (position, rule index)."""
-
-    class Cell:
-        __slots__ = ("sym",)
-
-        def __init__(self, sym):
-            self.sym = sym
-
-    def __init__(self, sym):
-        self.root = self.Cell(sym)
-        self.cells = [self.root]
-        self.steps = []
-
-    def apply(self, cell, ri, rule):
-        pos = self.cells.index(cell)
-        self.steps.append((pos, ri))
-        fresh = [self.Cell(s) for s in rule.rhs]
-        self.cells[pos:pos + 1] = fresh
-        return fresh
-
-    def expand_by_tree(self, cell, tree, grammar):
-        rule = grammar.rules[tree.rule]
-        fresh = self.apply(cell, tree.rule, rule)
-        var_cells = [c for c in fresh if grammar.is_variable(c.sym)]
-        for child_cell, child in zip(var_cells, tree.children):
-            self.expand_by_tree(child_cell, child, grammar)
-
-    def derivation(self):
-        return DerivationSequence((self.root.sym,), self.steps)
 
 
 # --- cycle-freeness ------------------------------------------------------
@@ -122,7 +88,7 @@ def is_cycle_free(grammar):
         return True, None
     origin, hops = best
     nullable_trees = _eps_trees(grammar, nullable)
-    form = _Form(origin)
+    form = SententialForm(origin)
     target = form.root
     names = [origin]
     for ri, pos in hops:
@@ -230,7 +196,7 @@ def is_nonexpansive(grammar):
             if len(spots) < 2:
                 continue
             i, j = spots[0], spots[1]
-            form = _Form(x)
+            form = SententialForm(x)
             hops = [] if x == rule.lhs else _shortest_path(x, rule.lhs, edges)
             target = form.root
             for hri, hpos in hops:
@@ -257,15 +223,6 @@ def degree(grammar):
     return max(top - 1, 0)
 
 
-def _combine_dims(dims):
-    if not dims:
-        return 0
-    top = max(dims)
-    if dims.count(top) >= 2:
-        return top + 1
-    return top
-
-
 def dimension_bound(grammar):
     """Least k such that every parse tree of the grammar has dimension
     at most k, by Kleene iteration of the per-variable recurrence.
@@ -281,8 +238,8 @@ def dimension_bound(grammar):
         nxt = {}
         for v in grammar.variables:
             nxt[v] = max(
-                _combine_dims([bound[s] for s in grammar.rules[ri].rhs
-                               if grammar.is_variable(s)])
+                combine_dimensions([bound[s] for s in grammar.rules[ri].rhs
+                                    if grammar.is_variable(s)])
                 for ri in grammar.rules_for(v)
             )
         if any(val > cap for val in nxt.values()):

@@ -170,7 +170,7 @@ def cmd_groebner(args):
 
 
 def nonnegative(text):
-    """Argument type for a nonnegative integer such as a truncation order."""
+    """Argument type for a nonnegative integer: a truncation order or a count."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
@@ -194,14 +194,14 @@ def build_parser():
 
     p = sub.add_parser("regularize", help="Parikh-equivalent regular grammar")
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=None, help="annotation level override")
+    p.add_argument("--k", type=nonnegative, default=None, help="annotation level override")
     p.add_argument("--out", default=None, help="write the document here instead of stdout")
     p.set_defaults(func=cmd_regularize)
 
     p = sub.add_parser("decide", help="decide the Parikh property (semiring Q)")
     p.add_argument("file")
     p.add_argument("--emit-witness", default=None, help="write the witness grammar here")
-    p.add_argument("--max-iters", type=int, default=12,
+    p.add_argument("--max-iters", type=nonnegative, default=12,
                    help="cap on reconstruction rounds")
     p.set_defaults(func=cmd_decide)
 

@@ -123,9 +123,6 @@ class Grammar:
     def rhs_variables(self, rule):
         return [s for s in rule.rhs if s in self.variable_index]
 
-    def rhs_terminals(self, rule):
-        return [s for s in rule.rhs if s in self.terminal_index]
-
     def parikh_of(self, word):
         """Exponent vector of `word` with respect to the declared terminal
         order."""

@@ -20,7 +20,7 @@ from .monomials import (
     mono_mul,
     mono_one,
 )
-from .polynomials import Polynomial, RationalFunction, render_polynomial, render_ratfun
+from .polynomials import Polynomial, RationalFunction, render_polynomial, render_ratfun, ulist_trim
 
 
 class MonomialOrder:
@@ -357,12 +357,6 @@ def univar_build(template, coeffs, name=None):
                             template.order)
 
 
-def _ulist_trim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
 def _ulist_monic(cs):
     inv = cs[-1].invert()
     return [c * inv for c in cs]
@@ -375,7 +369,7 @@ def univar_divmod(a, b):
     rem = list(a)
     db = len(b) - 1
     if len(rem) <= db:
-        return [], _ulist_trim(rem)
+        return [], ulist_trim(rem)
     inv = None if b[-1].is_one() else b[-1].invert()
     quot = [None] * (len(rem) - db)
     for shift in range(len(quot) - 1, -1, -1):
@@ -385,7 +379,7 @@ def univar_divmod(a, b):
         if not q.is_zero():
             for k in range(db):
                 rem[shift + k] = rem[shift + k] - q * b[k]
-    return quot, _ulist_trim(rem)
+    return quot, ulist_trim(rem)
 
 
 def univar_gcd_squarefree(p, name=None):
@@ -393,11 +387,11 @@ def univar_gcd_squarefree(p, name=None):
     multiplicity."""
     if name is None:
         name = p.variables[0]
-    cs = _ulist_trim(list(univar_coefficients(p, name)))
+    cs = ulist_trim(list(univar_coefficients(p, name)))
     if len(cs) <= 1:
         return univar_build(p, [RationalFunction.const(p.syms, 1)], name)
-    der = _ulist_trim([c * RationalFunction.const(p.syms, d)
-                       for d, c in enumerate(cs)][1:])
+    der = ulist_trim([c * RationalFunction.const(p.syms, d)
+                      for d, c in enumerate(cs)][1:])
     monic = _ulist_monic(cs)
     a, b = monic, _ulist_monic(der) if der else []
     while b:

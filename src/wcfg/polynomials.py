@@ -290,51 +290,68 @@ def _mono_content(p):
     return m
 
 
-def _univar_coeffs(p, v):
-    """View p as a univariate polynomial in symbol index v: {exp: Polynomial
-    coefficient with v zeroed out}."""
-    out = {}
+def ulist_trim(cs):
+    """Drop the top zero entries of an ascending coefficient list, in
+    place; the zero polynomial is the empty list."""
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _coeff_list(p, v):
+    """p as an ascending coefficient list in the symbol with index v; each
+    entry is a Polynomial free of that symbol."""
+    buckets = {}
     for m, c in p.terms.items():
-        e = m[v]
-        key = m[:v] + (0,) + m[v + 1 :]
-        coeff = out.setdefault(e, {})
-        coeff[key] = coeff.get(key, _ZERO) + c
-    return {e: Polynomial(p.syms, terms) for e, terms in out.items()}
+        buckets.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1 :]] = c
+    cs = [Polynomial.zero(p.syms)] * (max(buckets) + 1)
+    for e, terms in buckets.items():
+        cs[e] = Polynomial(p.syms, terms, _clean=False)
+    return cs
 
 
-def _from_univar(syms, v, coeffs):
+def _from_coeff_list(syms, v, cs):
     terms = {}
-    for e, poly in coeffs.items():
+    for e, poly in enumerate(cs):
         for m, c in poly.terms.items():
             terms[m[:v] + (e,) + m[v + 1 :]] = c
-    return Polynomial(syms, terms)
+    return Polynomial(syms, terms, _clean=False)
 
 
-def _univar_content(coeffs):
-    g = None
-    for poly in coeffs.values():
-        g = poly if g is None else poly_gcd(g, poly)
-        if g.is_one():
+def _primitive(cs):
+    """(content, primitive part) of a nonzero coefficient list.  The
+    content is taken from the entry with the fewest terms up and stops
+    once it is constant: a gcd with a small entry is cheap and often
+    constant at once.  Taken in degree order instead, one random
+    4-variable decide document spent minutes here, not hundredths of a
+    second."""
+    nonzero = sorted((c for c in cs if c), key=lambda c: len(c.terms))
+    g = nonzero[0]
+    for c in nonzero[1:]:
+        if g.is_constant():
             break
-    return g
+        g = poly_gcd(g, c)
+    if g.is_constant():
+        return g, cs
+    return g, [poly_divexact(c, g) for c in cs]
 
 
-def _pseudo_rem(f, g, v):
-    """Pseudo-remainder of f by g in the main variable with index v."""
-    fc = _univar_coeffs(f, v)
-    gc = _univar_coeffs(g, v)
-    df = max(fc)
-    dg = max(gc)
-    lead_g = gc[dg]
-    while f and df >= dg:
-        lead_f = fc[df]
-        # scale so the leading term cancels without rational functions
-        f = f * lead_g - g * _from_univar(f.syms, v, {df - dg: lead_f})
-        if not f:
-            break
-        fc = _univar_coeffs(f, v)
-        df = max(fc)
-    return f
+def _pseudo_rem(a, b):
+    """Pseudo-remainder of coefficient lists: the remainder of
+    lc(b)^k * a by b, trimmed, scaling a by lc(b) instead of dividing so
+    that every entry stays a polynomial."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(a) > db:
+        top = a.pop()
+        if not lead.is_one():
+            a = [c * lead for c in a]
+        shift = len(a) - db
+        for k in range(db):
+            a[shift + k] = a[shift + k] - top * b[k]
+        ulist_trim(a)
+    return a
 
 
 def poly_gcd(p, q):
@@ -361,43 +378,26 @@ def poly_gcd(p, q):
 
 
 def _gcd_primitive(p, q):
+    """Primitive pseudo-remainder sequence in the main symbol, the highest
+    index occurring in p or q, with the gcd of the contents multiplied
+    back at the end."""
     if p.is_constant() or q.is_constant():
         return Polynomial.const(p.syms, 1)
     if p == q:
         return p.primitive_part()
-    # main variable: highest symbol index occurring in either
-    v = max(
-        max(i for m in p.terms for i, e in enumerate(m) if e),
-        max(i for m in q.terms for i, e in enumerate(m) if e),
-    )
-    pc = _univar_coeffs(p, v)
-    qc = _univar_coeffs(q, v)
-    if len(pc) == 1 and 0 in pc:
-        # p does not involve v after all (q does): gcd(p, cont_v(q))
-        return _gcd_primitive(p, _univar_content(qc)) if not _univar_content(qc).is_constant() else Polynomial.const(p.syms, 1)
-    if len(qc) == 1 and 0 in qc:
-        return _gcd_primitive(q, _univar_content(pc)) if not _univar_content(pc).is_constant() else Polynomial.const(p.syms, 1)
-
-    cont_p = _univar_content(pc)
-    cont_q = _univar_content(qc)
-    cont_gcd = poly_gcd(cont_p, cont_q)
-    f = poly_divexact(p, cont_p)
-    g = poly_divexact(q, cont_q)
-    if max(_univar_coeffs(f, v)) < max(_univar_coeffs(g, v)):
-        f, g = g, f
-    while True:
-        r = _pseudo_rem(f, g, v)
-        if r.is_zero():
+    v = max(i for m in (*p.terms, *q.terms) for i, e in enumerate(m) if e)
+    cont_p, a = _primitive(_coeff_list(p, v))
+    cont_q, b = _primitive(_coeff_list(q, v))
+    cont = poly_gcd(cont_p, cont_q)
+    if len(a) < len(b):
+        a, b = b, a
+    # once b is a constant list, the primitive parts are coprime in v
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
             break
-        rc = _univar_coeffs(r, v)
-        if max(rc) == 0:
-            # nonzero remainder of degree 0 in v: the primitive parts are coprime in v
-            g = Polynomial.const(p.syms, 1)
-            break
-        r = poly_divexact(r, _univar_content(rc))
-        f, g = g, r
-    result = (cont_gcd * g).primitive_part()
-    return result
+        a, b = b, _primitive(r)[1]
+    return (cont * _from_coeff_list(p.syms, v, b)).primitive_part()
 
 
 def poly_lcm(p, q):

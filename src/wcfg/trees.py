@@ -66,17 +66,22 @@ def tree_size(tree):
     return 1 + sum(tree_size(c) for c in tree.children)
 
 
-def tree_dimension(tree):
-    """Branching measure of a tree: a node's dimension is the maximum of
-    its children's, plus one when that maximum is attained at least
-    twice.  Childless nodes have dimension 0."""
-    if not tree.children:
+def combine_dimensions(dims):
+    """Dimension of a node whose children have dimensions `dims`: their
+    maximum, plus one when that maximum is attained at least twice; 0
+    for a childless node."""
+    if not dims:
         return 0
-    dims = [tree_dimension(c) for c in tree.children]
     top = max(dims)
     if dims.count(top) >= 2:
         return top + 1
     return top
+
+
+def tree_dimension(tree):
+    """Branching measure of a tree (Strahler number), by
+    combine_dimensions."""
+    return combine_dimensions([tree_dimension(c) for c in tree.children])
 
 
 class DerivationSequence:
@@ -129,42 +134,56 @@ def derivation_index(grammar, derivation):
     )
 
 
-class _Cell:
-    __slots__ = ("sym",)
+class SententialForm:
+    """A sentential form as a list of cells, starting from one symbol;
+    rules are applied at tracked cells and every step is recorded as
+    (position, rule index)."""
+
+    class Cell:
+        __slots__ = ("sym",)
+
+        def __init__(self, sym):
+            self.sym = sym
 
     def __init__(self, sym):
-        self.sym = sym
+        self.root = self.Cell(sym)
+        self.cells = [self.root]
+        self.steps = []
+
+    def apply(self, cell, ri, rule):
+        """Rewrite `cell` by rule `ri`; returns the cells of its body."""
+        pos = self.cells.index(cell)
+        self.steps.append((pos, ri))
+        fresh = [self.Cell(s) for s in rule.rhs]
+        self.cells[pos:pos + 1] = fresh
+        return fresh
+
+    def expand_by_tree(self, cell, tree, grammar, child_order=None):
+        """Derive `cell` to completion along `tree`, each subtree to the
+        end before the next; ``child_order(grammar, rule, children)``
+        picks their order (a permutation of child indices) and defaults
+        to left-to-right."""
+        rule = grammar.rules[tree.rule]
+        fresh = self.apply(cell, tree.rule, rule)
+        var_cells = [c for c in fresh if grammar.is_variable(c.sym)]
+        if child_order is None:
+            order = range(len(tree.children))
+        else:
+            order = child_order(grammar, rule, tree.children)
+        for j in order:
+            self.expand_by_tree(var_cells[j], tree.children[j], grammar, child_order)
+
+    def derivation(self):
+        return DerivationSequence((self.root.sym,), self.steps)
 
 
 def derivation_from_tree(grammar, tree, child_order=None):
-    """Linearize a parse tree into a derivation sequence.
-
-    Each node's subtrees are derived to completion one after another;
-    ``child_order(grammar, rule, children)`` picks the order (a
-    permutation of child indices) and defaults to left-to-right, which
-    yields the leftmost derivation.
-    """
-    root = _Cell(grammar.rules[tree.rule].lhs)
-    form = [root]
-    steps = []
-
-    def expand(cell, t):
-        rule = grammar.rules[t.rule]
-        pos = form.index(cell)
-        steps.append((pos, t.rule))
-        cells = [_Cell(sym) for sym in rule.rhs]
-        form[pos:pos + 1] = cells
-        var_cells = [c for c in cells if grammar.is_variable(c.sym)]
-        pairs = list(zip(var_cells, t.children))
-        if child_order is None:
-            order = range(len(pairs))
-        else:
-            order = child_order(grammar, rule, t.children)
-        for j in order:
-            expand(*pairs[j])
-
-    expand(root, tree)
-    return DerivationSequence((root.sym,), steps)
+    """Linearize a parse tree into a derivation sequence, by
+    SententialForm.expand_by_tree; the default child order yields the
+    leftmost derivation."""
+    form = SententialForm(grammar.rules[tree.rule].lhs)
+    form.expand_by_tree(form.root, tree, grammar, child_order)
+    return form.derivation()
 
 
 # --- enumeration ---------------------------------------------------------

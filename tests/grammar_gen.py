@@ -10,7 +10,8 @@ structures whose every variable has at least one rule.
 import random
 from fractions import Fraction
 
-from wcfg import Grammar, Rule, NATURALS, RATIONALS, TROPICAL
+from wcfg.grammar import Grammar, Rule
+from wcfg.semirings import NATURALS, RATIONALS, TROPICAL
 from wcfg import is_cycle_free, is_nonexpansive
 
 

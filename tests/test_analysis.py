@@ -6,10 +6,10 @@ from wcfg import (
     dimension_bound,
     is_cycle_free,
     is_nonexpansive,
-    nullable_variables,
     parse_grammar,
     replay_derivation,
 )
+from wcfg.analysis import nullable_variables
 
 from fixtures import load_fixture
 

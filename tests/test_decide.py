@@ -10,7 +10,6 @@ from wcfg import (
     RationalFunction,
     WrongSemiring,
     algebraic_system,
-    approximate,
     clear_denominators,
     decide_parikh,
     discriminate_factor,
@@ -24,7 +23,7 @@ from wcfg import (
     univar_build,
     univar_coefficients,
 )
-from wcfg.series import eval_poly_at_series
+from wcfg.series import approximate, eval_poly_at_series
 
 from fixtures import load_fixture
 

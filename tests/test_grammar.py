@@ -2,18 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from wcfg import (
-    Grammar,
-    GrammarFormatError,
-    MissingRules,
-    NATURALS,
-    RATIONALS,
-    Rule,
-    load_grammar,
-    parse_grammar,
-    render_grammar,
-)
-from wcfg.grammar import valid_symbol_name
+from wcfg import GrammarFormatError, load_grammar, parse_grammar, render_grammar
+from wcfg.errors import MissingRules
+from wcfg.grammar import Grammar, Rule, valid_symbol_name
+from wcfg.semirings import NATURALS, RATIONALS
 
 from fixtures import fixture_path, load_fixture
 

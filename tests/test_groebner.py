@@ -5,7 +5,6 @@ import pytest
 
 from wcfg import (
     MonomialOrder,
-    NoUnivariateElement,
     Polynomial,
     RationalFunction,
     SystemPolynomial,
@@ -13,7 +12,6 @@ from wcfg import (
     eliminate_to_univariate,
     groebner_basis,
     poly_reduce,
-    reduce_basis,
     render_system_polynomial,
     system_polynomials,
     univar_build,
@@ -21,7 +19,8 @@ from wcfg import (
     univar_divmod,
     univar_gcd_squarefree,
 )
-from wcfg.groebner import buchberger, s_polynomial
+from wcfg.errors import NoUnivariateElement
+from wcfg.groebner import buchberger, reduce_basis, s_polynomial
 
 from fixtures import load_fixture
 from system_gen import random_system

@@ -1,17 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from wcfg import (
-    DivisionByZeroPolynomial,
-    Polynomial,
-    RationalFunction,
-    ZeroDenominator,
+from wcfg import Polynomial, RationalFunction
+from wcfg.errors import DivisionByZeroPolynomial, ZeroDenominator
+from wcfg.polynomials import (
+    poly_divexact,
+    poly_divides,
+    poly_gcd,
+    poly_lcm,
     render_polynomial,
     render_ratfun,
 )
-from wcfg.polynomials import poly_divexact, poly_divides, poly_gcd, poly_lcm
 
 SYMS = ("a", "b")
 
@@ -131,6 +132,22 @@ def test_gcd_divides_both_and_product_law(p, q):
         assert poly_divides(m, prod)
         ratio = poly_divexact(prod, m)
         assert ratio.total_degree() <= g.total_degree()
+
+
+SYMS3 = ("a", "b", "c")
+_poly3 = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), _coeff, max_size=3
+).map(lambda d: Polynomial(SYMS3, d))
+
+
+@given(h=_poly3, p=_poly3, q=_poly3)
+@settings(max_examples=60)
+def test_gcd_keeps_a_planted_common_factor(h, p, q):
+    hp, hq = h * p, h * q
+    assume(not hp.is_zero() and not hq.is_zero())
+    g = poly_gcd(hp, hq)
+    assert poly_divides(g, hp) and poly_divides(g, hq)
+    assert poly_divides(h, g)
 
 
 @given(p=_poly, q=_poly)

@@ -14,7 +14,6 @@ from wcfg import (
     enumerate_trees,
     grammar_series,
     ldf_derivation,
-    ldf_sort,
     load_grammar,
     parikh_series_bruteforce,
     project_tree,
@@ -25,7 +24,14 @@ from wcfg import (
     tree_yield,
     word_weight_map,
 )
-from wcfg.regularize import _annotated, _state_name, is_annotated, level_of, strip_annotation
+from wcfg.regularize import (
+    _annotated,
+    _state_name,
+    is_annotated,
+    ldf_sort,
+    level_of,
+    strip_annotation,
+)
 
 from fixtures import load_fixture
 from grammar_gen import random_nonexpansive_family

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wcfg import GrammarFormatError, NATURALS, RATIONALS, SEMIRINGS, TROPICAL
-from wcfg.semirings import INF, semiring_by_keyword
+from wcfg import GrammarFormatError
+from wcfg.semirings import INF, NATURALS, RATIONALS, SEMIRINGS, TROPICAL, semiring_by_keyword
 
 
 def test_lookup_by_keyword():

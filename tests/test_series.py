@@ -5,23 +5,26 @@ import pytest
 from wcfg import (
     DegenerateLeadingTerm,
     NonConvergent,
-    NonRegularSystem,
     NonUnitDenominatorAtOrigin,
     Polynomial,
-    RATIONALS,
     RationalFunction,
-    TROPICAL,
     TruncatedSeries,
     algebraic_system,
-    approximate,
     grammar_from_linear,
     grammar_series,
     parse_grammar,
-    regular_system_to_grammar,
     render_series,
     series_expand,
 )
-from wcfg.series import AlgebraicSystem, poly_to_series, eval_poly_at_series
+from wcfg.errors import NonRegularSystem
+from wcfg.semirings import RATIONALS, TROPICAL
+from wcfg.series import (
+    AlgebraicSystem,
+    approximate,
+    eval_poly_at_series,
+    poly_to_series,
+    regular_system_to_grammar,
+)
 
 from fixtures import load_fixture
 

@@ -3,11 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wcfg import (
-    DerivationSequence,
     EnumerationBudgetExceeded,
     NotCycleFree,
-    ParseTree,
-    derivation_from_tree,
     derivation_index,
     enumerate_trees,
     parikh_series_bruteforce,
@@ -18,7 +15,14 @@ from wcfg import (
     tree_yield,
     word_weight_map,
 )
-from wcfg.trees import min_yield_lengths, tree_depth, tree_size
+from wcfg.trees import (
+    DerivationSequence,
+    ParseTree,
+    derivation_from_tree,
+    min_yield_lengths,
+    tree_depth,
+    tree_size,
+)
 
 from fixtures import load_fixture
 
