@@ -48,7 +48,6 @@ from .groebner import (
     system_polynomials,
     univar_build,
     univar_coefficients,
-    univar_divmod,
     univar_gcd_squarefree,
 )
 from .polynomials import Polynomial, RationalFunction
@@ -127,7 +126,6 @@ __all__ = [
     "tree_yield",
     "univar_build",
     "univar_coefficients",
-    "univar_divmod",
     "univar_gcd_squarefree",
     "word_weight_map",
 ]

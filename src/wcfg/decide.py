@@ -14,7 +14,6 @@ symbolically.  A witness grammar is rebuilt from the linear form
 X = s*X + t, whose fixed point is the series itself.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,9 @@ from .analysis import is_cycle_free
 from .errors import (
     IterationCapExceeded,
     NotCycleFree,
+    NotDivisible,
     NoUnivariateElement,
+    WcfgError,
     WrongSemiring,
 )
 from .grammar import render_grammar
@@ -33,12 +34,13 @@ from .groebner import (
     system_polynomials,
     univar_build,
     univar_coefficients,
-    univar_divmod,
+    univar_from_polynomial,
     univar_gcd_squarefree,
+    univar_polynomial,
 )
 from .linalg import nullspace
 from .monomials import monomials_up_to_degree, mono_divides, mono_div
-from .polynomials import Polynomial, RationalFunction, poly_lcm
+from .polynomials import Polynomial, RationalFunction, poly_divexact, poly_gcd
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
 
 
@@ -65,9 +67,9 @@ def eliminate_to_univariate(system):
     involving only the start variable.
 
     The elimination order sorts the start variable last, so the basis of
-    a solvable system always contains exactly one such element; its
-    absence signals an inconsistent input and raises
-    NoUnivariateElement.
+    a solvable system always contains exactly one such element; none,
+    or more than one, signals an inconsistent input or a faulty basis
+    and raises NoUnivariateElement.
     """
     basis = groebner_basis(system_polynomials(system))
     name = system.variables[0]
@@ -76,7 +78,10 @@ def eliminate_to_univariate(system):
         raise NoUnivariateElement(
             f"reduced basis has no element univariate in {name}"
         )
-    assert len(found) == 1  # reduced bases cannot hold two: one lead would divide the other
+    if len(found) > 1:  # a reduced basis cannot: one lead would divide the other
+        raise NoUnivariateElement(
+            f"reduced basis has {len(found)} elements univariate in {name}"
+        )
     return found[0]
 
 
@@ -86,29 +91,10 @@ def clear_denominators(g):
     divide by the rational content, and flip signs so the top
     coefficient's canonical (first ascending) rational is positive."""
     name = _univar_name(g)
-    coeffs = univar_coefficients(g, name)
-    lcm = Polynomial.const(g.syms, 1)
-    for c in coeffs:
-        lcm = poly_lcm(lcm, c.den)
-    scale = RationalFunction.from_poly(lcm)
-    cleared = []
-    for c in coeffs:
-        value = c * scale
-        assert value.is_polynomial()
-        cleared.append(value.num)
-    content = Fraction(0)
-    for p in cleared:
-        if not p.is_zero():
-            c = p.content()
-            content = Fraction(
-                math.gcd(content.numerator, abs(c.numerator)),
-                math.lcm(content.denominator, c.denominator),
-            )
-    cleared = [p.scale(1 / content) for p in cleared]
-    _, first = cleared[-1].first_term()
-    if first < 0:
-        cleared = [-p for p in cleared]
-    return univar_build(g, [RationalFunction.from_poly(p) for p in cleared], name)
+    poly = univar_polynomial(g, name)
+    cleared = univar_from_polynomial(g, poly.scale(1 / abs(poly.content())), name)
+    _, first = cleared.lead_term()[1].num.first_term()
+    return -cleared if first < 0 else cleared
 
 
 def _univar_name(p):
@@ -164,21 +150,27 @@ def discriminate_factor(candidates, system, max_order=256):
 
     Precondition (caller-guaranteed): exactly one candidate vanishes.
     Raises IterationCapExceeded past max_order — a violated
-    precondition, not a data condition.
+    precondition, not a data condition.  A candidate whose coefficients
+    are not all terminal polynomials raises WcfgError.
     """
+    name = system.variables[0]
+    coeffs = []
+    for candidate in candidates:
+        cs = univar_coefficients(candidate, name)
+        if not all(c.is_polynomial() for c in cs):
+            raise WcfgError(
+                f"candidate {render_system_polynomial(candidate)} has a"
+                " non-polynomial coefficient"
+            )
+        coeffs.append([c.num for c in cs])
     if len(candidates) == 1:
         return 0
-    name = system.variables[0]
     alive = set(range(len(candidates)))
     order = 4
     while order <= max_order:
         r1 = approximate(system, order)[0]
         for i in sorted(alive):
-            coeffs = []
-            for c in univar_coefficients(candidates[i], name):
-                assert c.is_polynomial()
-                coeffs.append(c.num)
-            value = eval_poly_at_series(coeffs, r1, order)
+            value = eval_poly_at_series(coeffs[i], r1, order)
             if value.coeffs:
                 alive.discard(i)
         if len(alive) == 1:
@@ -253,6 +245,7 @@ def _linear_factor(certificate, system, max_rounds):
     name = system.variables[0]
     coeffs = univar_coefficients(certificate, name)
     D = max(c.num.total_degree() for c in coeffs if not c.is_zero())
+    poly = univar_polynomial(certificate, name)
     orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
     for order in orders:
         r1 = approximate(system, order)[0]
@@ -260,12 +253,17 @@ def _linear_factor(certificate, system, max_rounds):
         if not space:
             return None, order
         for c, d in space:
-            linear = _linear_system_poly(certificate, name, c, d)
-            quot, rem = univar_divmod(coeffs, univar_coefficients(linear, name))
-            if rem:
+            # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
+            # exactly when c*X - d divides over Q(Sigma)
+            g = poly_gcd(c, d)
+            primitive = _linear_system_poly(
+                certificate, name, poly_divexact(c, g), poly_divexact(d, g))
+            try:
+                quot = poly_divexact(poly, univar_polynomial(primitive, name))
+            except NotDivisible:
                 continue
-            cofactor = clear_denominators(univar_build(certificate, quot, name))
-            normalized = clear_denominators(linear)
+            cofactor = clear_denominators(univar_from_polynomial(certificate, quot, name))
+            normalized = clear_denominators(_linear_system_poly(certificate, name, c, d))
             if discriminate_factor([normalized, cofactor], system) == 0:
                 return normalized, order
     last = f"last order {orders[-1]}" if orders else "no order tried"

@@ -210,10 +210,7 @@ def parse_grammar(text):
         if missing is None:
             raise GrammarFormatError(f"missing {label} line")
 
-    try:
-        return Grammar(semiring, terminals, variables, start, rules)
-    except GrammarFormatError:
-        raise
+    return Grammar(semiring, terminals, variables, start, rules)
 
 
 def _parse_names(tokens, kind, lineno):

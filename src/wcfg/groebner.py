@@ -20,7 +20,8 @@ from .monomials import (
     mono_mul,
     mono_one,
 )
-from .polynomials import Polynomial, RationalFunction, render_polynomial, render_ratfun, ulist_trim
+from .polynomials import (Polynomial, RationalFunction, poly_divexact, poly_lcm,
+                          poly_squarefree, render_polynomial, render_ratfun)
 
 
 class MonomialOrder:
@@ -322,7 +323,7 @@ def groebner_basis(generators):
     return reduce_basis(buchberger(generators))
 
 
-# --- univariate layer over K ---------------------------------------------
+# --- univariate polynomials in the start variable --------------------
 
 def univar_coefficients(p, name=None):
     """Coefficient list of a polynomial in a single variable, constant
@@ -357,46 +358,40 @@ def univar_build(template, coeffs, name=None):
                             template.order)
 
 
-def _ulist_monic(cs):
-    inv = cs[-1].invert()
-    return [c * inv for c in cs]
+def univar_polynomial(p, name):
+    """A univariate p with its coefficient denominators cleared (scaled
+    by their lcm), as one Polynomial in the terminals plus `name`,
+    appended last so that it is poly_gcd's main symbol."""
+    coeffs = univar_coefficients(p, name)
+    lcm = Polynomial.const(p.syms, 1)
+    for c in coeffs:
+        lcm = poly_lcm(lcm, c.den)
+    terms = {}
+    for e, c in enumerate(coeffs):
+        num = c.num if c.den == lcm else c.num * poly_divexact(lcm, c.den)
+        for m, v in num.terms.items():
+            terms[m + (e,)] = v
+    return Polynomial(p.syms + (name,), terms, _clean=False)
 
 
-def univar_divmod(a, b):
-    """Quotient and remainder of ascending coefficient lists over K:
-    a = quot * b + rem, the remainder trimmed of top zeros.  b's top
-    entry must be nonzero; it is inverted once, not at every step."""
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], ulist_trim(rem)
-    inv = None if b[-1].is_one() else b[-1].invert()
-    quot = [None] * (len(rem) - db)
-    for shift in range(len(quot) - 1, -1, -1):
-        lead = rem.pop()
-        q = lead if inv is None else lead * inv
-        quot[shift] = q
-        if not q.is_zero():
-            for k in range(db):
-                rem[shift + k] = rem[shift + k] - q * b[k]
-    return quot, ulist_trim(rem)
+def univar_from_polynomial(template, poly, name):
+    """Inverse of univar_polynomial: the polynomial coefficients of the
+    last symbol's powers, as a SystemPolynomial shaped like the
+    template."""
+    buckets = {}
+    for m, c in poly.terms.items():
+        buckets.setdefault(m[-1], {})[m[:-1]] = c
+    coeffs = [Polynomial(template.syms, buckets.get(e, {}), _clean=False)
+              for e in range(max(buckets, default=0) + 1)]
+    return univar_build(template, [RationalFunction.from_poly(c) for c in coeffs], name)
 
 
 def univar_gcd_squarefree(p, name=None):
     """The squarefree part p / gcd(p, p'), monic, same roots without
-    multiplicity."""
+    multiplicity.  Gcd and quotient are taken in Q[terminals][X] after
+    clearing denominators; only the final monic scaling works over the
+    rational-function field."""
     if name is None:
         name = p.variables[0]
-    cs = ulist_trim(list(univar_coefficients(p, name)))
-    if len(cs) <= 1:
-        return univar_build(p, [RationalFunction.const(p.syms, 1)], name)
-    der = ulist_trim([c * RationalFunction.const(p.syms, d)
-                      for d, c in enumerate(cs)][1:])
-    monic = _ulist_monic(cs)
-    a, b = monic, _ulist_monic(der) if der else []
-    while b:
-        a, b = b, univar_divmod(a, b)[1]
-        if b:
-            b = _ulist_monic(b)
-    sf, _ = univar_divmod(monic, a)
-    return univar_build(p, _ulist_monic(sf), name)
+    squarefree = poly_squarefree(univar_polynomial(p, name))
+    return univar_from_polynomial(p, squarefree, name).monic()

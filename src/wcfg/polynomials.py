@@ -290,14 +290,6 @@ def _mono_content(p):
     return m
 
 
-def ulist_trim(cs):
-    """Drop the top zero entries of an ascending coefficient list, in
-    place; the zero polynomial is the empty list."""
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
 def _coeff_list(p, v):
     """p as an ascending coefficient list in the symbol with index v; each
     entry is a Polynomial free of that symbol."""
@@ -350,7 +342,8 @@ def _pseudo_rem(a, b):
         shift = len(a) - db
         for k in range(db):
             a[shift + k] = a[shift + k] - top * b[k]
-        ulist_trim(a)
+        while a and a[-1].is_zero():  # the zero polynomial is the empty list
+            a.pop()
     return a
 
 
@@ -398,6 +391,17 @@ def _gcd_primitive(p, q):
             break
         a, b = b, _primitive(r)[1]
     return (cont * _from_coeff_list(p.syms, v, b)).primitive_part()
+
+
+def poly_squarefree(p):
+    """p / gcd(p, dp/dv) for the last symbol v: up to a rational factor,
+    each irreducible factor of p that involves v, once, and no factor
+    free of v.  A p free of v gives 1."""
+    if all(m[-1] == 0 for m in p.terms):
+        return Polynomial.const(p.syms, 1)
+    der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
+                              for m, c in p.terms.items() if m[-1]}, _clean=False)
+    return poly_divexact(p, poly_gcd(p, der))
 
 
 def poly_lcm(p, q):

@@ -1,10 +1,17 @@
 """The benchmark tracer wraps wcfg module attributes by name, so every
-name it lists must exist; a rename inside the package would otherwise
-break only the traced benchmark run."""
+name it lists must exist and be called through; a rename inside the
+package, or a call that bypasses the module global, would otherwise
+break or silently zero a layer of the traced benchmark run."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+from wcfg import cli
+
+from fixtures import fixture_path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -34,3 +41,23 @@ def test_every_traced_attribute_resolves():
                if not callable(resolve(mod, attr))]
     assert missing == []
     assert set(tracer.LAYERS) >= {mod for mod, _ in wanted}
+
+
+def test_decide_calls_every_traced_decide_attribute():
+    # catalan_cancellation reaches reconstruction and discrimination
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    trace.install({m: importlib.import_module(f"wcfg.{m}") for m in tracer.LAYERS})
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["decide", fixture_path("catalan_cancellation.wcfg")])
+    finally:
+        trace.uninstall()
+    assert code == 0 and out.getvalue().startswith("verdict: holds")
+    below = [False] * len(trace.spans)  # inside decide_parikh's span
+    for sid, parent, *_ in trace.spans:
+        if parent >= 0:
+            below[sid] = below[parent] or trace.spans[parent][2] == "decide.decide_parikh"
+    seen = {rec[2] for rec in trace.spans if below[rec[0]]}
+    wanted = {name for mod, _, name, _ in tracer.SPANS if mod == "decide"}
+    assert sorted(wanted - seen) == []

@@ -8,6 +8,7 @@ from wcfg import (
     NotCycleFree,
     Polynomial,
     RationalFunction,
+    WcfgError,
     WrongSemiring,
     algebraic_system,
     clear_denominators,
@@ -16,6 +17,7 @@ from wcfg import (
     eliminate_to_univariate,
     grammar_from_linear,
     grammar_series,
+    parikh_series_bruteforce,
     parse_grammar,
     rational_reconstruct,
     render_report,
@@ -23,6 +25,7 @@ from wcfg import (
     univar_build,
     univar_coefficients,
 )
+from wcfg.errors import NoUnivariateElement
 from wcfg.series import approximate, eval_poly_at_series
 
 from fixtures import load_fixture
@@ -253,3 +256,68 @@ def test_round_cap_names_the_last_order_tried(monkeypatch):
     monkeypatch.setattr("wcfg.decide.discriminate_factor", lambda candidates, system: 1)
     with pytest.raises(IterationCapExceeded, match=r"after 2 rounds \(last order 22\)"):
         decide_parikh(g, max_rounds=2)
+
+
+def test_discriminate_factor_rejects_a_non_polynomial_coefficient():
+    system = algebraic_system(load_fixture("unary_double.wcfg"))
+    syms = ("a",)
+    template = univar_template(syms)
+    one = RationalFunction.const(syms, 1)
+    a = RationalFunction.from_poly(Polynomial.variable(syms, "a"))
+    good = univar_build(template, [-one, one - a - a])   # (1-2a) X - 1
+    scaled = univar_build(template, [-one, one / a])     # (1/a) X - 1
+    with pytest.raises(WcfgError, match="non-polynomial coefficient"):
+        discriminate_factor([good, scaled], system)
+
+
+def test_two_univariate_basis_elements_raise(monkeypatch):
+    system = algebraic_system(load_fixture("unary_double.wcfg"))
+    univar = eliminate_to_univariate(system)
+    monkeypatch.setattr("wcfg.decide.groebner_basis", lambda gens: [univar, univar * univar])
+    with pytest.raises(NoUnivariateElement, match="2 elements"):
+        eliminate_to_univariate(system)
+
+
+# Two documents of the decide-q benchmark corpus (seed 3) on which the
+# squarefree part taken by Euclid's algorithm over Q(a, b) runs for
+# minutes; the gcd in Q[a, b][V1] takes hundredths of a second.
+SLOW_SQUAREFREE = {
+    "random-3x2x7-036": ("""\
+semiring Q
+terminals a b
+variables V1 V2 V3
+start V1
+rule V1 -> a b : -1
+rule V2 -> a : 2
+rule V3 -> b b : 3
+rule V3 -> a V2 : 1
+rule V3 -> b a : -2
+rule V1 -> V3 V3 V1 : 3
+rule V3 -> V1 b : 2
+""", "12*b^2*V1^3 + (24*a^2*b - 24*a*b^2 + 36*b^3)*V1^2"
+         " - (1 - 12*a^4 + 24*a^3*b - 48*a^2*b^2 + 36*a*b^3 - 27*b^4)*V1 - a*b", 9),
+    "random-3x2x7-249": ("""\
+semiring Q
+terminals a b
+variables V1 V2 V3
+start V1
+rule V1 -> a : 1
+rule V2 -> b : -2
+rule V3 -> a : 1
+rule V2 -> V1 : 1
+rule V1 -> V3 V1 V2 : 1
+rule V3 -> V1 : 2
+rule V3 -> a a : 1
+""", "2*V1^3 + (a - 4*b + a^2)*V1^2 - (1 + 2*a*b + 2*a^2*b)*V1 + a", 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_SQUAREFREE))
+def test_slow_squarefree_documents(name):
+    text, q, order = SLOW_SQUAREFREE[name]
+    g = parse_grammar(text)
+    report = decide_parikh(g)
+    assert (report.verdict, render_system_polynomial(report.q),
+            report.discrimination_order) == ("fails", q, order)
+    coeffs = [c.num for c in univar_coefficients(report.q)]
+    assert eval_poly_at_series(coeffs, parikh_series_bruteforce(g, 5), 5).is_zero()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wcfg import (
     MonomialOrder,
@@ -16,7 +17,6 @@ from wcfg import (
     system_polynomials,
     univar_build,
     univar_coefficients,
-    univar_divmod,
     univar_gcd_squarefree,
 )
 from wcfg.errors import NoUnivariateElement
@@ -204,20 +204,6 @@ def test_univar_build_round_trip():
     assert render_system_polynomial(rebuilt) == render_system_polynomial(univar)
 
 
-def test_univar_divmod():
-    # X^3 - a = (X^2 + a X + a^2)(X - a) + (a^3 - a)
-    quot, rem = univar_divmod([rfp(-A), rf(0), rf(0), rf(1)], [rfp(-A), rf(1)])
-    assert quot == [rfp(A * A), rfp(A), rf(1)]
-    assert rem == [rfp(A * A * A - A)]
-    # a non-monic divisor: (2a X^2 - 2a) / (a X - a) = 2 X + 2, exactly
-    quot, rem = univar_divmod([rfp(A.scale(-2)), rf(0), rfp(A.scale(2))],
-                              [rfp(-A), rfp(A)])
-    assert quot == [rf(2), rf(2)]
-    assert rem == []
-    # a dividend below the divisor's degree is its own trimmed remainder
-    assert univar_divmod([rfp(A), rf(0)], [rf(1), rf(0), rf(1)]) == ([], [rfp(A)])
-
-
 def test_univar_gcd_squarefree():
     template = SystemPolynomial(SYMS, ("X",), {(1,): RationalFunction.const(SYMS, 1)})
     x_minus_a = univar_build(template, [rfp(-A), rf(1)])
@@ -229,3 +215,31 @@ def test_univar_gcd_squarefree():
     # X^2 (X - 1) loses the repeated factor
     cubic = univar_build(template, [rf(0), rf(0), rf(-1), rf(1)])
     assert render_system_polynomial(univar_gcd_squarefree(cubic)) == "X^2 - X"
+
+
+SYMS2 = ("a", "b")
+_poly2 = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).map(Fraction), max_size=3,
+).map(lambda d: Polynomial(SYMS2, d))
+
+
+@given(c=_poly2, u=_poly2, v=st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_squarefree_part_of_a_planted_square(c, u, v):
+    # p = c * f^2 * g over Q[a, b][X] with a content c free of X: the
+    # squarefree part is f * g.  A constant root v makes g free of a and
+    # b, so a derivative taken in a terminal instead of X changes the
+    # answer whatever u is.
+    assume(not c.is_constant())
+    v = Polynomial.const(SYMS2, v)
+    assume(u != v)
+    template = SystemPolynomial(SYMS2, ("X",), {(1,): RationalFunction.const(SYMS2, 1)})
+
+    def build(*coeffs):
+        return univar_build(template, [RationalFunction.from_poly(x) for x in coeffs])
+
+    one = Polynomial.const(SYMS2, 1)
+    f, g = build(-u, one), build(-v, one)
+    p = build(c) * f * f * g
+    assert univar_gcd_squarefree(p) == (f * g).monic()
