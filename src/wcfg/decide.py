@@ -39,6 +39,7 @@ from .groebner import (
     univar_polynomial,
 )
 from .linalg import nullspace
+from .modular import P, full_column_rank
 from .monomials import monomials_up_to_degree, mono_divides, mono_div
 from .polynomials import Polynomial, RationalFunction, poly_divexact, poly_gcd
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
@@ -50,9 +51,13 @@ class DecisionReport:
 
     verdict is "holds" or "fails"; q the cleared-denominator certificate
     polynomial (linear iff holds); witness the regular grammar (holds
-    only); basis_g the raw univariate basis element; and
+    only); basis_g the raw univariate basis element;
     discrimination_order the series order that certified the verdict
-    (0 when the certificate was purely symbolic).
+    (0 when the certificate was purely symbolic); and reason the branch
+    that certified it: "linear certificate", "reconstructed factor at
+    order n", "empty space by rank mod P at order n" (P in digits) or
+    "empty space by exact nullspace at order n".  render_report leaves
+    the reason out.
     """
 
     verdict: str
@@ -60,6 +65,7 @@ class DecisionReport:
     witness: object
     basis_g: SystemPolynomial
     discrimination_order: int
+    reason: str
 
 
 def eliminate_to_univariate(system):
@@ -112,13 +118,16 @@ def rational_reconstruct(r1, D, k):
     works.  c is normalized to canonical (first ascending) coefficient
     one.  With k >= 2D + 1 a persistent solution pins down a genuine
     rational representation candidate."""
-    space = _reconstruction_space(r1, D, k)
+    space, _ = _reconstruction_space(r1, D, k)
     return space[0] if space else None
 
 
 def _reconstruction_space(r1, D, k):
-    """All nullspace basis solutions of the truncated c*r1 - d = 0
-    system, as normalized (c, d) polynomial pairs."""
+    """(space, method): all nullspace basis solutions of the truncated
+    c*r1 - d = 0 system, as normalized (c, d) polynomial pairs, and how
+    they were found.  Full column rank modulo P proves the space empty
+    ("rank mod P"); otherwise the exact nullspace decides ("exact
+    nullspace")."""
     monos = monomials_up_to_degree(len(r1.syms), D)
     ncols = 2 * len(monos)
     rows = []
@@ -132,6 +141,8 @@ def _reconstruction_space(r1, D, k):
         for m in monos:  # d columns: -d contributes at its own monomial
             row.append(Fraction(-1) if m == v else Fraction(0))
         rows.append(row)
+    if full_column_rank(rows, ncols):
+        return [], f"rank mod {P}"
     out = []
     for vec in nullspace(rows, ncols):
         c = Polynomial(r1.syms, {m: vec[i] for i, m in enumerate(monos)})
@@ -140,7 +151,7 @@ def _reconstruction_space(r1, D, k):
             continue  # c = 0 forces d = 0; not a representation
         _, first = c.first_term()
         out.append((c.scale(1 / first), d.scale(1 / first)))
-    return out
+    return out, "exact nullspace"
 
 
 def discriminate_factor(candidates, system, max_order=256):
@@ -212,9 +223,9 @@ def decide_parikh(g, max_rounds=12):
     certificate = clear_denominators(squarefree)
 
     if certificate.degree_in(name) == 1:
-        linear, order = certificate, 0
+        linear, order, reason = certificate, 0, "linear certificate"
     else:
-        linear, order = _linear_factor(certificate, system, max_rounds)
+        linear, order, reason = _linear_factor(certificate, system, max_rounds)
     if linear is None:
         return DecisionReport(
             verdict="fails",
@@ -222,6 +233,7 @@ def decide_parikh(g, max_rounds=12):
             witness=None,
             basis_g=basis_g,
             discrimination_order=order,
+            reason=reason,
         )
     coeffs = univar_coefficients(linear, name)
     c, d = coeffs[1].num, (-coeffs[0]).num
@@ -231,13 +243,15 @@ def decide_parikh(g, max_rounds=12):
         witness=grammar_from_linear(c, d, g.terminals, g.start),
         basis_g=basis_g,
         discrimination_order=order,
+        reason=reason,
     )
 
 
 def _linear_factor(certificate, system, max_rounds):
-    """(q, order): a cleared linear factor q of the certificate whose
-    root is the start series, or None when the reconstruction space at
-    that order is empty, so that no linear annihilator exists.
+    """(q, order, reason): a cleared linear factor q of the certificate
+    whose root is the start series, or None when the reconstruction
+    space at that order is empty, so that no linear annihilator exists;
+    reason names which of the two certified the verdict.
 
     Round i reconstructs the series as a ratio of polynomials of degree
     at most D, the largest degree among the certificate's coefficients,
@@ -249,9 +263,9 @@ def _linear_factor(certificate, system, max_rounds):
     orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
     for order in orders:
         r1 = approximate(system, order)[0]
-        space = _reconstruction_space(r1, D, order)
+        space, method = _reconstruction_space(r1, D, order)
         if not space:
-            return None, order
+            return None, order, f"empty space by {method} at order {order}"
         for c, d in space:
             # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
             # exactly when c*X - d divides over Q(Sigma)
@@ -265,7 +279,7 @@ def _linear_factor(certificate, system, max_rounds):
             cofactor = clear_denominators(univar_from_polynomial(certificate, quot, name))
             normalized = clear_denominators(_linear_system_poly(certificate, name, c, d))
             if discriminate_factor([normalized, cofactor], system) == 0:
-                return normalized, order
+                return normalized, order, f"reconstructed factor at order {order}"
     last = f"last order {orders[-1]}" if orders else "no order tried"
     raise IterationCapExceeded(
         f"no linear-factor certificate after {max_rounds} rounds ({last})"

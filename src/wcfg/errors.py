@@ -90,3 +90,17 @@ class DegenerateLeadingTerm(WcfgError):
 class IterationCapExceeded(WcfgError):
     """Series discrimination failed to separate candidate factors within the
     iteration cap."""
+
+
+class NegativeExponent(WcfgError):
+    """A polynomial was raised to a negative power."""
+
+
+class SymbolMismatch(WcfgError):
+    """Two polynomials over different symbol lists met in one operation."""
+
+
+class BrokenDerivation(WcfgError):
+    """A lowest-annotation-first derivation broke its index bound or did
+    not reproduce its tree's yield, so the grammar is not the annotated
+    grammar the tree belongs to."""

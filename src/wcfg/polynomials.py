@@ -17,7 +17,14 @@ Canonical forms (load-bearing for printing and witnesses):
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
-from .errors import DivisionByZeroPolynomial, NotDivisible, ZeroDenominator
+from .errors import (
+    DivisionByZeroPolynomial,
+    NegativeExponent,
+    NotDivisible,
+    SymbolMismatch,
+    ZeroDenominator,
+)
+from .modular import POINT_BASES, P, residue, univar_gcd
 from .monomials import (
     grade_key,
     mono_degree,
@@ -170,7 +177,8 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __pow__(self, e):
-        assert e >= 0
+        if e < 0:
+            raise NegativeExponent(f"negative power {e} of {render_polynomial(self)}")
         result = Polynomial.const(self.syms, 1)
         base = self
         while e:
@@ -182,7 +190,8 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            assert other.syms == self.syms, "mixed symbol lists"
+            if other.syms != self.syms:
+                raise SymbolMismatch(f"polynomials over {self.syms} and {other.syms}")
             return other
         return Polynomial.const(self.syms, other)
 
@@ -349,7 +358,8 @@ def _pseudo_rem(a, b):
 
 def poly_gcd(p, q):
     """Primitive gcd in Q[syms], first coefficient positive; gcd(0, 0) = 0."""
-    assert p.syms == q.syms
+    if p.syms != q.syms:
+        raise SymbolMismatch(f"gcd of polynomials over {p.syms} and {q.syms}")
     if p.is_zero():
         return q.primitive_part() if q else q
     if q.is_zero():
@@ -396,12 +406,50 @@ def _gcd_primitive(p, q):
 def poly_squarefree(p):
     """p / gcd(p, dp/dv) for the last symbol v: up to a rational factor,
     each irreducible factor of p that involves v, once, and no factor
-    free of v.  A p free of v gives 1."""
+    free of v.  A p free of v gives 1.
+
+    When _coprime_mod_p proves the gcd free of v, the gcd is the content
+    of p in v and no gcd involving v is taken."""
     if all(m[-1] == 0 for m in p.terms):
         return Polynomial.const(p.syms, 1)
+    if _coprime_mod_p(p):
+        v = len(p.syms) - 1
+        content, cs = _primitive(_coeff_list(p, v))
+        if content.is_constant():
+            return p
+        # p / content.primitive_part(), the normalised gcd poly_gcd returns
+        return _from_coeff_list(p.syms, v, cs).scale(content.content())
     der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
                               for m, c in p.terms.items() if m[-1]}, _clean=False)
     return poly_divexact(p, poly_gcd(p, der))
+
+
+def _coprime_mod_p(p):
+    """Is p, with the other symbols set to the first fixed point of
+    GF(P) where its leading coefficient in the last symbol v survives,
+    coprime to its derivative in v?  True proves that gcd(p, dp/dv) is
+    free of v: P divides neither that coefficient nor deg p, so both
+    degrees survive the reduction and the resultant of p and dp/dv in v
+    reduces to the resultant of the images, which is nonzero.  False is
+    inconclusive."""
+    n = max(m[-1] for m in p.terms)
+    residues = []
+    for m, c in p.terms.items():
+        r = residue(c)
+        if r is None:
+            return False
+        residues.append((m, r))
+    for base in POINT_BASES:
+        point = [pow(base, i + 1, P) for i in range(len(p.syms) - 1)]
+        image = [0] * (n + 1)
+        for m, r in residues:
+            for x, e in zip(point, m):
+                r = r * pow(x, e, P) % P
+            image[m[-1]] = (image[m[-1]] + r) % P
+        if image[n] and n % P:
+            der = [i * c % P for i, c in enumerate(image)][1:]
+            return len(univar_gcd(image, der)) == 1
+    return False
 
 
 def poly_lcm(p, q):

@@ -28,7 +28,7 @@ import itertools
 from collections import deque
 
 from .analysis import degree, dimension_bound, is_nonexpansive
-from .errors import ExpansiveGrammar, GrammarFormatError, KTooSmall
+from .errors import BrokenDerivation, ExpansiveGrammar, GrammarFormatError, KTooSmall
 from .grammar import ANNOTATED_NAME, PLAIN_NAME, Grammar, Rule
 from .trees import (
     ParseTree,
@@ -202,14 +202,17 @@ def ldf_derivation(grammar, tree):
     right within a level).
 
     Its index is at most k*m + 1 for an annotated grammar with top
-    level k and degree m; both that bound and yield preservation are
-    asserted before returning.
+    level k and degree m; a derivation that breaks that bound or does not
+    preserve the yield raises BrokenDerivation.
     """
     derivation = derivation_from_tree(grammar, tree, child_order=ldf_child_order)
     k = max(level_of(v) for v in grammar.variables)
     m = degree(grammar)
-    assert derivation_index(grammar, derivation) <= k * m + 1
-    assert replay_derivation(grammar, derivation)[-1] == tuple(tree_yield(grammar, tree))
+    index = derivation_index(grammar, derivation)
+    if index > k * m + 1:
+        raise BrokenDerivation(f"derivation index {index} exceeds k*m + 1 = {k * m + 1}")
+    if replay_derivation(grammar, derivation)[-1] != tuple(tree_yield(grammar, tree)):
+        raise BrokenDerivation("derivation does not reproduce the tree's yield")
     return derivation
 
 

@@ -6,7 +6,7 @@ import pytest
 from wcfg import grammar_series, load_grammar, parse_grammar
 from wcfg.cli import main
 
-from fixtures import fixture_path
+from fixtures import GRAMMARS_DIR, fixture_path
 
 
 def run(capsys, *argv):
@@ -248,3 +248,14 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 + 2*a + 4*a^2 + 8*a^3 + 16*a^4"
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in GRAMMARS_DIR.glob("*.wcfg")
+    if load_grammar(path).semiring.keyword == "Q"))
+def test_decide_is_unchanged_under_python_optimize(name):
+    # -O strips assert statements; no check that guards a verdict may be one
+    runs = [subprocess.run([sys.executable, *flags, "-m", "wcfg", "decide", fixture_path(name)],
+                           capture_output=True, text=True)
+            for flags in ((), ("-O",))]
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)

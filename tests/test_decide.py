@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,11 @@ from wcfg import (
     univar_build,
     univar_coefficients,
 )
+from wcfg.decide import _reconstruction_space
 from wcfg.errors import NoUnivariateElement
-from wcfg.series import approximate, eval_poly_at_series
+from wcfg.modular import P, full_column_rank
+from wcfg.semirings import RATIONALS
+from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
 
 from fixtures import load_fixture
 
@@ -88,10 +92,49 @@ witness:
 }
 
 
+GOLDEN_REASONS = {
+    "catalan.wcfg": f"empty space by rank mod {P} at order 3",
+    "two_letter_star_cfl.wcfg": "linear certificate",
+    "binary_tail.wcfg": "linear certificate",
+    "unary_double.wcfg": "linear certificate",
+    "catalan_cancellation.wcfg": "reconstructed factor at order 11",
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
 def test_fixture_reports(name):
     report = decide_parikh(load_fixture(name))
     assert render_report(report) == GOLDEN_REPORTS[name]
+    assert report.reason == GOLDEN_REASONS[name]
+
+
+def test_an_inconclusive_rank_falls_back_to_the_exact_nullspace(monkeypatch):
+    monkeypatch.setattr("wcfg.decide.full_column_rank", lambda rows, ncols: False)
+    report = decide_parikh(load_fixture("catalan.wcfg"))
+    assert render_report(report) == GOLDEN_REPORTS["catalan.wcfg"]
+    assert report.reason == "empty space by exact nullspace at order 3"
+
+
+def series_in_a(*coeffs):
+    """The truncated series sum coeffs[i] * a^i in Q[[a]]."""
+    return TruncatedSeries(RATIONALS, ("a",), len(coeffs) - 1,
+                           {(i,): Fraction(c) for i, c in enumerate(coeffs)})
+
+
+def test_reconstruction_space_certificate_and_its_inconclusive_branches():
+    # with D = 0 the system is c*r1 = d through order 1: rows
+    # (r1_0, -1) and (r1_1, 0), of full rank exactly when r1_1 != 0
+    assert _reconstruction_space(series_in_a(1, 2), 0, 1) == ([], f"rank mod {P}")
+    # full rank over Q, but the entry P vanishes modulo P
+    assert not full_column_rank([[1, -1], [P, 0]], 2)
+    assert _reconstruction_space(series_in_a(1, P), 0, 1) == ([], "exact nullspace")
+    # an entry whose denominator P divides has no residue; this matrix is
+    # singular over Q, and reading 1/P as 0 would make it regular mod P
+    assert not full_column_rank([[Fraction(1, P), 1], [1, P]], 2)
+    assert _reconstruction_space(series_in_a(1, Fraction(1, P)), 0, 1) == ([], "exact nullspace")
+    # rank deficient over Q: the exact nullspace finds c = d = 1
+    one = Polynomial.const(("a",), 1)
+    assert _reconstruction_space(series_in_a(1, 0), 0, 1) == ([(one, one)], "exact nullspace")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
@@ -312,12 +355,92 @@ rule V3 -> a a : 1
 }
 
 
-@pytest.mark.parametrize("name", sorted(SLOW_SQUAREFREE))
-def test_slow_squarefree_documents(name):
-    text, q, order = SLOW_SQUAREFREE[name]
+# Three more documents of that corpus.  On the first, an exact Fraction
+# nullspace that comes back empty takes a third of a second; on the
+# other two, the exact gcd of the certificate with its derivative runs
+# for more than ten seconds.  The certificates modulo P decide each in
+# about a tenth of a second.
+MODULAR_CERTIFICATES = {
+    "random-4x2x9-059": ('''\
+semiring Q
+terminals a b
+variables V1 V2 V3 V4
+start V1
+rule V1 -> b : 1
+rule V2 -> b : 1
+rule V3 -> b : 2
+rule V4 -> a : -1/2
+rule V1 -> b b b : 3
+rule V2 -> V2 V2 : 3
+rule V4 -> b : 3/2
+rule V1 -> a V2 : 1
+rule V4 -> V3 V1 : -1
+''', "3*V1^2 - (a + 6*b + 18*b^3)*V1"
+         " + (a*b + 3*b^2 + a^2*b + 3*a*b^3 + 18*b^4 + 27*b^6)", 13),
+    "random-3x2x7-001": ('''\
+semiring Q
+terminals a b
+variables V1 V2 V3
+start V1
+rule V1 -> b b : 2
+rule V2 -> a b : -1/2
+rule V3 -> b a : 1/2
+rule V3 -> b b V3 : 2
+rule V2 -> V1 V1 : 1/2
+rule V1 -> V2 V3 V3 : -1
+rule V3 -> b V2 : 3
+''', "9*b^2*V1^6 + (6*a*b^2 - 27*a*b^3)*V1^4 + (a^2*b^2 - 12*a^2*b^3 + 27*a^2*b^4)*V1^2"
+         " + (8 - 32*b^2 + 32*b^4)*V1"
+         " - (16*b^2 - 64*b^4 + a^3*b^3 + 64*b^6 - 6*a^3*b^4 + 9*a^3*b^5)", 17),
+    "random-4x2x9-111": ('''\
+semiring Q
+terminals a b
+variables V1 V2 V3 V4
+start V1
+rule V1 -> a b : 1
+rule V2 -> a : 1
+rule V3 -> a b : 2
+rule V4 -> b b : 2
+rule V4 -> b b V2 : 1/2
+rule V2 -> V3 : -1
+rule V2 -> V1 V4 : 1/2
+rule V3 -> V2 b V4 : -1/2
+rule V1 -> V3 b : -1
+''', "b^4*V1^3 - (12*b^2 + 4*b^5 + a*b^5 - 2*a*b^6)*V1^2"
+         " + (16 - 16*b^3 + 8*a*b^3 - 16*a*b^4 - 16*b^6)*V1 - (16*a*b - 32*a*b^2)", 15),
+}
+def no_gcd_in_the_start_variable(monkeypatch, start):
+    """Make every polynomial gcd of an operand that involves the start
+    variable fail, leaving the gcds of terminal polynomials alone."""
+    module = importlib.import_module("wcfg.polynomials")
+    exact = module.poly_gcd
+
+    def guarded(p, q):
+        for f in (p, q):
+            if start in f.syms and any(m[f.syms.index(start)] for m in f.terms):
+                raise AssertionError("exact gcd in the start variable")
+        return exact(p, q)
+
+    monkeypatch.setattr(module, "poly_gcd", guarded)
+
+
+def check_pinned_document(monkeypatch, text, q, order):
     g = parse_grammar(text)
+    # every pinned certificate is squarefree, proved modulo P
+    no_gcd_in_the_start_variable(monkeypatch, g.start)
     report = decide_parikh(g)
     assert (report.verdict, render_system_polynomial(report.q),
             report.discrimination_order) == ("fails", q, order)
+    assert report.reason == f"empty space by rank mod {P} at order {order}"
     coeffs = [c.num for c in univar_coefficients(report.q)]
     assert eval_poly_at_series(coeffs, parikh_series_bruteforce(g, 5), 5).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_SQUAREFREE))
+def test_slow_squarefree_documents(name, monkeypatch):
+    check_pinned_document(monkeypatch, *SLOW_SQUAREFREE[name])
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR_CERTIFICATES))
+def test_modular_certificate_documents(name, monkeypatch):
+    check_pinned_document(monkeypatch, *MODULAR_CERTIFICATES[name])

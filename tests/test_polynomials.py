@@ -4,12 +4,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wcfg import Polynomial, RationalFunction
-from wcfg.errors import DivisionByZeroPolynomial, ZeroDenominator
+from wcfg.errors import (
+    DivisionByZeroPolynomial,
+    NegativeExponent,
+    SymbolMismatch,
+    ZeroDenominator,
+)
+from wcfg.modular import P, POINT_BASES
 from wcfg.polynomials import (
+    _coprime_mod_p,
     poly_divexact,
     poly_divides,
     poly_gcd,
     poly_lcm,
+    poly_squarefree,
     render_polynomial,
     render_ratfun,
 )
@@ -158,6 +166,70 @@ def test_exact_division_round_trip(p, q):
     prod = p * q
     assert poly_divides(q, prod)
     assert poly_divexact(prod, q) == p
+
+
+def test_guarded_invariants_raise_typed_errors():
+    with pytest.raises(NegativeExponent):
+        a ** -1
+    c = Polynomial.variable(("c",), "c")
+    with pytest.raises(SymbolMismatch):
+        a + c
+    with pytest.raises(SymbolMismatch):
+        poly_gcd(a, c)
+
+
+# ---------------------------------------------------------------------------
+# squarefree part: the certificate modulo P and the exact gcd agree
+# ---------------------------------------------------------------------------
+
+SYMSX = ("a", "b", "X")
+ax, bx, X = (Polynomial.variable(SYMSX, s) for s in SYMSX)
+onex = Polynomial.const(SYMSX, 1)
+
+
+def exact_squarefree(p):
+    der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
+                              for m, c in p.terms.items() if m[-1]})
+    return poly_divexact(p, poly_gcd(p, der))
+
+
+_f, _g = X + ax, X - bx * bx + onex
+_content = (ax + bx.scale(2)) * bx.scale(Fraction(-3, 2))
+_quadratic = X * X - ax * X + onex
+_lead = onex  # vanishes at every fixed evaluation point
+for _base in POINT_BASES:
+    _lead = _lead * (ax - Polynomial.const(SYMSX, _base))
+_unlucky = _lead * X * X + bx * X + onex
+_denominator_p = X * X + ax.scale(Fraction(1, P)) * X + onex
+
+# p, its squarefree part, and whether the certificate modulo P proves it
+SQUAREFREE_CASES = {
+    "content": (_content * _quadratic, _quadratic.scale(Fraction(-3, 2)), True),
+    "planted-square": ((_f * _f * _g).scale(Fraction(5, 7)), (_f * _g).scale(Fraction(5, 7)), False),
+    "lead-vanishes": (_unlucky, _unlucky, False),
+    "denominator-p": (_denominator_p, _denominator_p, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUAREFREE_CASES))
+def test_squarefree_part_with_and_without_the_certificate(name):
+    p, part, proved = SQUAREFREE_CASES[name]
+    assert _coprime_mod_p(p) == proved
+    assert poly_squarefree(p) == exact_squarefree(p) == part
+
+
+_monox = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
+_polyx = st.dictionaries(_monox, _coeff, max_size=4).map(lambda d: Polynomial(SYMSX, d))
+_polyab = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+                          _coeff, min_size=1, max_size=3).map(lambda d: Polynomial(SYMSX, d))
+
+
+@given(content=_polyab, p=_polyx, square=st.booleans())
+@settings(max_examples=80)
+def test_squarefree_matches_the_exact_gcd(content, p, square):
+    p = content * (p * p if square else p)
+    assume(any(m[-1] for m in p.terms))
+    assert poly_squarefree(p) == exact_squarefree(p)
 
 
 # ---------------------------------------------------------------------------

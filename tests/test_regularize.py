@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from wcfg import (
     ldf_derivation,
     load_grammar,
     parikh_series_bruteforce,
+    parse_grammar,
     project_tree,
     regularize,
     render_grammar,
@@ -24,6 +26,7 @@ from wcfg import (
     tree_yield,
     word_weight_map,
 )
+from wcfg.errors import BrokenDerivation
 from wcfg.regularize import (
     _annotated,
     _state_name,
@@ -32,6 +35,7 @@ from wcfg.regularize import (
     level_of,
     strip_annotation,
 )
+from wcfg.trees import ParseTree
 
 from fixtures import load_fixture
 from grammar_gen import random_nonexpansive_family
@@ -154,6 +158,24 @@ def test_ldf_derivations_respect_the_width_bound():
         d = ldf_derivation(ann, tree)
         assert derivation_index(ann, d) <= k * m + 1
         assert replay_derivation(ann, d)[-1] == tree_yield(ann, tree)
+
+
+def test_ldf_derivation_raises_on_a_broken_invariant(monkeypatch):
+    # the names claim level 0, so the bound k*m + 1 is 1, but a tree
+    # that splits once already keeps two variables pending
+    mislabelled = parse_grammar(
+        "semiring N\nterminals a\nvariables X.0.e\nstart X.0.e\n"
+        "rule X.0.e -> X.0.e X.0.e : 1\nrule X.0.e -> a : 1\n")
+    leaf = ParseTree(1)
+    with pytest.raises(BrokenDerivation, match="index 2 exceeds"):
+        ldf_derivation(mislabelled, ParseTree(0, [leaf, leaf]))
+    ann = at_most_k_grammar(BT, 1)
+    tree = next(iter(enumerate_trees(ann, max_terminals=3)))
+    # the package's regularize function shadows its module of that name
+    module = importlib.import_module("wcfg.regularize")
+    monkeypatch.setattr(module, "replay_derivation", lambda grammar, d: [("z",)])
+    with pytest.raises(BrokenDerivation, match="yield"):
+        ldf_derivation(ann, tree)
 
 
 def test_ldf_derivation_width_bound_on_random_grammars():
