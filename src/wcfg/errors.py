@@ -97,7 +97,13 @@ class NegativeExponent(WcfgError):
 
 
 class SymbolMismatch(WcfgError):
-    """Two polynomials over different symbol lists met in one operation."""
+    """Two polynomials over different symbol lists, or two series over
+    different symbol lists or semirings, met in one operation."""
+
+
+class PrecisionExceeded(WcfgError):
+    """A truncated series was asked for terms above the order it was
+    truncated at, which it does not know."""
 
 
 class BrokenDerivation(WcfgError):

@@ -7,6 +7,8 @@ degree, and inside a degree earlier-declared symbols come first (so over
 (a, b): 1, a, b, a^2, a*b, b^2, ...).
 """
 
+from operator import add, neg
+
 
 def mono_one(n):
     return (0,) * n
@@ -21,7 +23,7 @@ def mono_degree(m):
 
 
 def mono_mul(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def mono_divides(u, v):
@@ -44,7 +46,7 @@ def mono_gcd(u, v):
 
 def grade_key(m):
     """Sort key for the canonical ascending term order."""
-    return (sum(m), tuple(-e for e in m))
+    return (sum(m), tuple(map(neg, m)))
 
 
 def render_monomial(m, names):

@@ -6,18 +6,26 @@ A grammar with variables X1..Xn induces the system
     Xi = sum over rules Xi -> gamma of  W(rule) * commute(gamma)
 
 where commute(gamma) multiplies out the right-hand side in commuting
-symbols.  Kleene iteration of this system, truncated at a fixed total
-degree in the terminal symbols, converges to the commutative word-weight
-series whenever the grammar is cycle-free.
+symbols.  Its least solution is the commutative word-weight series.
+approximate computes it one total degree in the terminal symbols at a
+time (a semi-naive graded sweep): for a cycle-free grammar the degree-n
+part of each variable depends only on lower degrees and, through its
+terminal-free terms, on an acyclic set of same-degree parts, so every
+degree is computed once, in the same way over every semiring, and a
+system keeps the degrees computed so far for its next, higher order.
 """
 
 from fractions import Fraction
+from functools import partial
+from itertools import compress
 
 from .errors import (
     DegenerateLeadingTerm,
     NonConvergent,
     NonRegularSystem,
     NonUnitDenominatorAtOrigin,
+    PrecisionExceeded,
+    SymbolMismatch,
 )
 from .grammar import Grammar, Rule
 from .monomials import (
@@ -61,10 +69,6 @@ class TruncatedSeries:
     def one(cls, semiring, syms, order):
         return cls(semiring, syms, order, {mono_one(len(syms)): semiring.one})
 
-    @classmethod
-    def term(cls, semiring, syms, order, mono, weight):
-        return cls(semiring, syms, order, {mono: weight})
-
     def coefficient(self, mono):
         return self.coeffs.get(mono, self.semiring.zero)
 
@@ -72,13 +76,26 @@ class TruncatedSeries:
         return not self.coeffs
 
     def truncated(self, order):
-        """A copy keeping only terms of total degree <= order."""
-        if order >= self.order:
-            return TruncatedSeries(self.semiring, self.syms, order, self.coeffs)
+        """A copy keeping only terms of total degree <= order; raising
+        the order would claim coefficients the series does not know, and
+        raises PrecisionExceeded."""
+        if order > self.order:
+            raise PrecisionExceeded(
+                f"series truncated at order {self.order} cannot be read at order {order}")
         kept = {m: w for m, w in self.coeffs.items() if mono_degree(m) <= order}
         return TruncatedSeries(self.semiring, self.syms, order, kept)
 
+    def _common_order(self, other):
+        """The order both operands are known to: the lower one.  Series
+        over different symbols or semirings raise SymbolMismatch."""
+        if other.syms != self.syms or other.semiring != self.semiring:
+            raise SymbolMismatch(
+                f"series over {self.semiring.keyword} {self.syms} and "
+                f"{other.semiring.keyword} {other.syms}")
+        return min(self.order, other.order)
+
     def __add__(self, other):
+        order = self._common_order(other)
         sr = self.semiring
         out = dict(self.coeffs)
         for mono, w in other.coeffs.items():
@@ -86,11 +103,11 @@ class TruncatedSeries:
                 out[mono] = sr.add(out[mono], w)
             else:
                 out[mono] = w
-        return TruncatedSeries(sr, self.syms, self.order, out)
+        return TruncatedSeries(sr, self.syms, order, out)
 
     def __mul__(self, other):
+        order = self._common_order(other)
         sr = self.semiring
-        order = self.order
         out = {}
         for m1, w1 in self.coeffs.items():
             d1 = mono_degree(m1)
@@ -152,13 +169,14 @@ class AlgebraicSystem:
     merged.
     """
 
-    __slots__ = ("semiring", "terminals", "variables", "equations")
+    __slots__ = ("semiring", "terminals", "variables", "equations", "_sweep")
 
     def __init__(self, semiring, terminals, variables, equations):
         self.semiring = semiring
         self.terminals = tuple(terminals)
         self.variables = tuple(variables)
         self.equations = tuple(tuple(eq) for eq in equations)
+        self._sweep = None  # the graded solution so far, see approximate
 
     def render(self):
         lines = []
@@ -217,51 +235,224 @@ def algebraic_system(grammar):
     return AlgebraicSystem(sr, grammar.terminals, variables, equations)
 
 
-def _substitute(system, assignment, order):
-    """One Kleene step: plug the current approximations into every
-    right-hand side, truncating at the given total degree."""
-    sr = system.semiring
-    syms = system.terminals
-    out = []
-    for eq in system.equations:
-        acc = TruncatedSeries.zero(sr, syms, order)
-        for weight, tmono, vmono in eq:
-            term = TruncatedSeries.term(sr, syms, order, tmono, weight)
-            for vi, exp in enumerate(vmono):
-                for _ in range(exp):
-                    term = term * assignment[vi]
-                    if term.is_zero():
-                        break
-                if term.is_zero():
-                    break
-            acc = acc + term
-        out.append(acc)
-    return out
+def _convolve(sr, left, right, n):
+    """Degree-n slice of the product of two graded series, given as
+    lists of slices.  left[n] is read only when right[0] is nonzero, and
+    right[n] only when left[0] is: these are the product's same-degree
+    dependencies."""
+    out = {}
+    for a in range(n + 1):
+        b = n - a
+        if a == n and not right[0] or b == n and not left[0]:
+            continue
+        lslice, rslice = left[a], right[b]
+        if not lslice or not rslice:
+            continue
+        for m1, w1 in lslice.items():
+            for m2, w2 in rslice.items():
+                mono = mono_mul(m1, m2)
+                w = sr.mul(w1, w2)
+                out[mono] = sr.add(out[mono], w) if mono in out else w
+    return {m: w for m, w in out.items() if not sr.is_zero(w)}
+
+
+def _dependency_order(edges):
+    """(order, rest) for a graph given by each node's set of
+    dependencies: the nodes placed by repeatedly taking one whose
+    dependencies are all placed (Kahn), dependencies first, and the
+    rest, which lie on a cycle or depend on one."""
+    waiting = [len(deps) for deps in edges]
+    users = [[] for _ in edges]
+    for i, deps in enumerate(edges):
+        for j in deps:
+            users[j].append(i)
+    ready = [i for i, count in enumerate(waiting) if not count]
+    order = []
+    while ready:
+        j = ready.pop()
+        order.append(j)
+        for i in users[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                ready.append(i)
+    placed = set(order)
+    return order, [i for i in range(len(edges)) if i not in placed]
+
+
+class _GradedSweep:
+    """The least solution of an algebraic system, one degree at a time.
+
+    Every variable, and every product of variables that a term needs,
+    is a node holding graded slices: ``slices[n]`` maps the terminal
+    monomials of total degree n to their nonzero weights.  A product
+    X_a*X_b*X_c is X_a*X_b times X_c, each prefix a node of its own, so
+    one more degree of it is one convolution step.  Degree 0 is a fixed
+    point over scalars, found by Kleene iteration.  At degree n >= 1 a
+    term whose terminal monomial has degree d >= 1 reads its product at
+    degree n - d, already known; the same-degree reads, of terminal-free
+    terms and of products (a factor's degree-n slice times the other's
+    nonzero constant term), form a graph that is acyclic for a
+    cycle-free grammar, so every node is computed once per degree, in
+    dependency order.  Only a cyclic system leaves nodes on a cycle, or
+    behind one, and these are iterated within each degree until they
+    stabilise.  ``passes[n]`` is the number of passes the iteration at
+    degree n needed, so that a later call's cap applies to the degrees
+    an earlier call computed too.
+    """
+
+    __slots__ = ("sr", "syms", "values", "nodes", "order", "cycle", "passes")
+
+    def __init__(self, system, max_iters):
+        sr = self.sr = system.semiring
+        self.syms = system.terminals
+        one = mono_one(len(self.syms))
+        everywhere = range(len(system.variables))
+        equations = [
+            [(weight, tmono, [j for j in compress(everywhere, vmono)
+                              for _ in range(vmono[j])])
+             for weight, tmono, vmono in eq]
+            for eq in system.equations
+        ]
+        scalars, passes = _scalar_fixpoint(sr, equations, max_iters)
+        self.passes = [passes]
+        self.values = [[{one: x} if not sr.is_zero(x) else {}] for x in scalars]
+        nodes = self.nodes = list(self.values)
+        terms = [[] for _ in everywhere]
+        computes = [partial(_rhs_slice, sr, t) for t in terms]
+        edges = [set() for _ in everywhere]
+
+        def add_node(slices, compute, needs):
+            nodes.append(slices)
+            computes.append(compute)
+            edges.append(needs)
+            return len(nodes) - 1
+
+        unit = add_node([{one: sr.one}], lambda n: {}, set())
+        products = {}  # factor tuple -> node
+        for i, eq in enumerate(equations):
+            for weight, tmono, factors in eq:
+                k = unit if not factors else factors[0]
+                for end in range(2, len(factors) + 1):
+                    key = tuple(factors[:end])
+                    if key not in products:
+                        left, right = nodes[k], nodes[factors[end - 1]]
+                        needs = {k} if right[0] else set()
+                        if left[0]:
+                            needs.add(factors[end - 1])
+                        products[key] = add_node(
+                            [_convolve(sr, left, right, 0)],
+                            partial(_convolve, sr, left, right), needs)
+                    k = products[key]
+                dt = mono_degree(tmono)
+                terms[i].append((weight, tmono, dt, nodes[k]))
+                if not dt:
+                    edges[i].add(k)
+        order, rest = _dependency_order(edges)
+        self.order = [(nodes[k], computes[k]) for k in order]
+        self.cycle = [(nodes[k], computes[k]) for k in rest]
+
+    def extend(self, order, max_iters):
+        """Compute every degree up to ``order`` not computed yet."""
+        known = len(self.passes) - 1
+        if max(self.passes[:max(order, 0) + 1]) > max_iters:
+            raise NonConvergent(
+                "system did not stabilise within %d iterations" % max_iters)
+        for n in range(known + 1, order + 1):
+            try:
+                self.passes.append(self._degree(n, max_iters))
+            except NonConvergent:
+                for slices in self.nodes:
+                    del slices[n:]
+                raise
+
+    def _degree(self, n, max_iters):
+        """Compute degree n; returns the passes its iteration needed."""
+        for slices, compute in self.order:
+            slices.append(compute(n))
+        if not self.cycle:
+            return 0
+        for slices, _ in self.cycle:
+            slices.append({})
+        for passes in range(1, max_iters + 1):
+            changed = False
+            for slices, compute in self.cycle:
+                value = compute(n)
+                if value != slices[n]:
+                    slices[n] = value
+                    changed = True
+            if not changed:
+                return passes
+        raise NonConvergent(
+            "system did not stabilise at degree %d within %d iterations"
+            % (n, max_iters))
+
+    def series(self, order):
+        """One series per variable, truncated at ``order``."""
+        out = []
+        for slices in self.values:
+            coeffs = {}
+            for piece in slices[:order + 1]:
+                coeffs.update(piece)
+            out.append(TruncatedSeries(self.sr, self.syms, order, coeffs))
+        return tuple(out)
+
+
+def _rhs_slice(sr, terms, n):
+    """Degree-n slice of a right-hand side, given as its terms (weight,
+    terminal monomial, its degree, graded slices of the variable
+    product)."""
+    out = {}
+    for weight, tmono, dt, slices in terms:
+        if dt > n:
+            continue
+        for mono, w in slices[n - dt].items():
+            if dt:
+                mono = mono_mul(mono, tmono)
+            w = sr.mul(weight, w)
+            out[mono] = sr.add(out[mono], w) if mono in out else w
+    return {m: w for m, w in out.items() if not sr.is_zero(w)}
+
+
+def _scalar_fixpoint(sr, equations, max_iters):
+    """(constant terms, passes): Kleene iteration of the terminal-free
+    terms over scalars, from zero until it stabilises.  ``equations``
+    lists (weight, terminal monomial, factor variables) per variable."""
+    current = [sr.zero] * len(equations)
+    for passes in range(1, max_iters + 1):
+        nxt = []
+        for eq in equations:
+            acc = sr.zero
+            for weight, tmono, factors in eq:
+                if mono_is_one(tmono):
+                    for j in factors:
+                        weight = sr.mul(weight, current[j])
+                    acc = sr.add(acc, weight)
+            nxt.append(acc)
+        if nxt == current:
+            return current, passes
+        current = nxt
+    raise NonConvergent(
+        "system did not stabilise at degree 0 within %d iterations" % max_iters)
 
 
 def approximate(system, order, max_iters=1000):
-    """Kleene fixed-point approximation of an algebraic system.
+    """The system's least solution truncated at total degree ``order``,
+    one series per system variable (same order as ``system.variables``).
 
-    Iterates substitution from the all-zero assignment until the
-    truncated series stabilise, and returns one series per system
-    variable (same order as ``system.variables``).  Raises
-    NonConvergent when the cap is hit first, which cannot happen for
-    cycle-free grammars.
+    Computed by the graded sweep of _GradedSweep, whose state the system
+    keeps: a later call extends the degrees computed so far instead of
+    starting again, and a lower order truncates them.  ``max_iters``
+    bounds every fixed-point iteration the sweep makes: the one over
+    scalars at degree 0 and, on a cyclic system, the one at each degree
+    over the variables on or behind a same-degree cycle.  NonConvergent
+    is raised when one of them needs more passes, which cannot happen
+    for a cycle-free grammar with a cap of |V| + 1 or more.
     """
-    sr = system.semiring
-    current = [
-        TruncatedSeries.zero(sr, system.terminals, order)
-        for _ in system.variables
-    ]
-    for _ in range(max_iters):
-        nxt = _substitute(system, current, order)
-        if nxt == current:
-            return tuple(current)
-        current = nxt
-    raise NonConvergent(
-        "system did not stabilise at order %d within %d iterations"
-        % (order, max_iters)
-    )
+    sweep = system._sweep
+    if sweep is None:
+        sweep = system._sweep = _GradedSweep(system, max_iters)
+    sweep.extend(order, max_iters)
+    return sweep.series(order)
 
 
 def grammar_series(grammar, order, max_iters=1000):

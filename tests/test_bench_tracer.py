@@ -61,3 +61,22 @@ def test_decide_calls_every_traced_decide_attribute():
     seen = {rec[2] for rec in trace.spans if below[rec[0]]}
     wanted = {name for mod, _, name, _ in tracer.SPANS if mod == "decide"}
     assert sorted(wanted - seen) == []
+
+
+def test_series_runs_the_sweep_under_the_traced_name():
+    # series.approximate_s reads the span of series.approximate below
+    # series.grammar_series, so the engine must stay behind that name
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    trace.install({m: importlib.import_module(f"wcfg.{m}") for m in tracer.LAYERS})
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["series", fixture_path("two_letter_star_cfl.wcfg"),
+                             "--order", "6"])
+    finally:
+        trace.uninstall()
+    assert code == 0 and out.getvalue().startswith("1 + ")
+    names = {rec[0]: rec[2] for rec in trace.spans}
+    below = [names[parent] for _, parent, name, *_ in trace.spans
+             if name == "series.approximate" and parent >= 0]
+    assert below == ["series.grammar_series"]

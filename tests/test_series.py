@@ -12,12 +12,15 @@ from wcfg import (
     algebraic_system,
     grammar_from_linear,
     grammar_series,
+    parikh_series_bruteforce,
     parse_grammar,
     render_series,
     series_expand,
 )
-from wcfg.errors import NonRegularSystem
-from wcfg.semirings import RATIONALS, TROPICAL
+from wcfg.analysis import nullable_variables
+from wcfg.errors import NonRegularSystem, PrecisionExceeded, SymbolMismatch
+from wcfg.grammar import Grammar
+from wcfg.semirings import NATURALS, RATIONALS, TROPICAL
 from wcfg.series import (
     AlgebraicSystem,
     approximate,
@@ -27,6 +30,7 @@ from wcfg.series import (
 )
 
 from fixtures import load_fixture
+from grammar_gen import random_nonexpansive_family
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -52,6 +56,35 @@ def test_series_multiplication_truncates():
     f = S(2, {(2,): Fraction(1)})
     assert (f * f).is_zero()
     assert f.truncated(1).is_zero()
+
+
+def test_series_arithmetic_keeps_the_lower_order():
+    high = S(4, {(0,): Fraction(1), (1,): Fraction(1), (3,): Fraction(5)})
+    low = S(2, {(0,): Fraction(1), (1,): Fraction(2)})
+    assert high * low == low * high
+    assert (high * low).order == 2
+    assert (high * low).coeffs == {(0,): 1, (1,): 3, (2,): 2}
+    assert high + low == low + high
+    assert (high + low).coeffs == {(0,): 2, (1,): 3}
+
+
+def test_series_over_other_symbols_or_semirings_do_not_mix():
+    a = S(3, {(1,): Fraction(1)})
+    b = S(3, {(1,): Fraction(1)}, syms=("b",))
+    with pytest.raises(SymbolMismatch):
+        a + b
+    with pytest.raises(SymbolMismatch):
+        a * b
+    natural = S(3, {(1,): 1}, semiring=NATURALS)
+    with pytest.raises(SymbolMismatch):
+        a + natural
+
+
+def test_truncated_cannot_raise_the_order():
+    f = S(2, {(1,): Fraction(1)})
+    assert f.truncated(2) == f
+    with pytest.raises(PrecisionExceeded):
+        f.truncated(3)
 
 
 def test_render_series_ascending():
@@ -152,6 +185,134 @@ def test_approximate_diverges_on_cycles():
     )
     with pytest.raises(NonConvergent):
         approximate(algebraic_system(g), 3, max_iters=50)
+
+
+def test_a_diverging_degree_leaves_the_lower_ones_usable():
+    g = parse_grammar(
+        "semiring Q\nterminals a\nvariables X\nstart X\n"
+        "rule X -> X : 1/2\nrule X -> a : 1\n"
+    )
+    system = algebraic_system(g)
+    with pytest.raises(NonConvergent):
+        approximate(system, 3, max_iters=50)
+    assert approximate(system, 0, max_iters=50)[0] == S(0, {})
+    with pytest.raises(NonConvergent):
+        approximate(system, 1, max_iters=50)
+
+
+# a cycle of weight 0 converges in the tropical semiring; the pinned
+# series is the limit of Kleene iteration on the whole system
+TROPICAL_SELF_LOOP = (
+    "semiring tropical\nterminals a\nvariables X\nstart X\n"
+    "rule X -> X : 0\nrule X -> a : 1\n"
+)
+
+
+def test_tropical_cycle_of_weight_zero_converges():
+    system = algebraic_system(parse_grammar(TROPICAL_SELF_LOOP))
+    for order, rendered in ((0, "inf"), (1, "1*a"), (3, "1*a"), (6, "1*a")):
+        (x,) = approximate(system, order, max_iters=50)
+        assert render_series(x) == rendered
+
+
+def test_the_iteration_cap_holds_for_degrees_computed_earlier():
+    # degree 1 of the self-loop takes two passes to stabilise
+    system = algebraic_system(parse_grammar(TROPICAL_SELF_LOOP))
+    with pytest.raises(NonConvergent):
+        approximate(algebraic_system(parse_grammar(TROPICAL_SELF_LOOP)), 3, max_iters=1)
+    approximate(system, 3)
+    with pytest.raises(NonConvergent):
+        approximate(system, 3, max_iters=1)
+    assert approximate(system, 0, max_iters=1)[0].is_zero()
+
+
+def test_a_capped_degree_leaves_the_state_as_a_fresh_one():
+    # Y's degree-1 slice is computed before X's cycle hits the cap there
+    text = (
+        "semiring tropical\nterminals a b\nvariables X Y\nstart X\n"
+        "rule X -> X : 0\nrule X -> Y : 0\n"
+        "rule Y -> a : 2\nrule Y -> b Y : 1\n"
+    )
+    system = algebraic_system(parse_grammar(text))
+    with pytest.raises(NonConvergent):
+        approximate(system, 3, max_iters=1)
+    assert approximate(system, 3) == approximate(algebraic_system(parse_grammar(text)), 3)
+
+
+# hand-made cycle-free shapes for the same-degree order of the sweep:
+# products of nullable variables, a product with one factor vanishing at
+# the origin (V) and one with two (W W), shared prefixes, an
+# epsilon-chain three levels deep, and a product A*B*V whose degree-n
+# slice must not wait for the prefix A*B, since V vanishes at the origin
+SWEEP_SHAPES = (
+    "terminals a b\nvariables X Y Z V W\nstart X\n"
+    "rule X -> Y Z : 2\nrule X -> Y Z V : 1\nrule X -> W W : 1\n"
+    "rule X -> Y V : 3\nrule X -> a : 1\n"
+    "rule Y -> eps : 1\nrule Y -> b Y : 1\n"
+    "rule Z -> eps : 3\nrule Z -> Y a : 1\n"
+    "rule V -> a : 2\nrule V -> V b : 1\n"
+    "rule W -> b : 1\nrule W -> a W : 2\n",
+    "terminals a b c\nvariables X A B C\nstart X\n"
+    "rule X -> A B C : 1\nrule X -> A B : 2\nrule X -> B a X : 1\n"
+    "rule A -> B C : 1\nrule A -> a : 1\n"
+    "rule B -> C : 2\nrule B -> b : 1\n"
+    "rule C -> eps : 1\nrule C -> c C : 1\n",
+    "terminals a b\nvariables X A B V\nstart X\n"
+    "rule X -> A B V : 1\nrule X -> a : 1\n"
+    "rule A -> eps : 1\nrule A -> a A : 1\n"
+    "rule B -> eps : 2\nrule B -> b : 1\n"
+    "rule V -> b : 1\nrule V -> V a : 1\n",
+)
+
+
+def sweep_grammars():
+    """Every shape in every semiring, a rational one whose nullable Y has
+    a constant term cancelling to zero, and seeded random grammars."""
+    out = []
+    for shape in SWEEP_SHAPES:
+        for keyword in ("Q", "N", "tropical"):
+            out.append(parse_grammar(f"semiring {keyword}\n" + shape))
+    out.append(parse_grammar(
+        "semiring Q\nterminals a b\nvariables X Y U V\nstart X\n"
+        "rule X -> Y V : 1\nrule X -> a : 1\n"
+        "rule Y -> eps : 1\nrule Y -> U : -1\nrule Y -> a Y : 1\n"
+        "rule U -> eps : 1\nrule V -> b : 1\nrule V -> eps : 2\n"))
+    for family in random_nonexpansive_family(7, 40):
+        out.extend(family[keyword] for keyword in ("Q", "N", "tropical"))
+    return out
+
+
+def test_sweep_grammars_cover_epsilon_rules_and_nullable_products():
+    grammars = sweep_grammars()
+    with_eps = [g for g in grammars if any(not r.rhs for r in g.rules)]
+    nullable_products = [
+        g for g in grammars
+        if any(sum(s in nullable_variables(g) for s in r.rhs) >= 2 for r in g.rules)
+    ]
+    assert len(with_eps) >= 50 and len(nullable_products) >= 10
+
+
+def test_approximate_matches_tree_enumeration():
+    for g in sweep_grammars():
+        system = algebraic_system(g)
+        for i, var in enumerate(system.variables):
+            brute = parikh_series_bruteforce(
+                Grammar(g.semiring, g.terminals, g.variables, var, g.rules), 7)
+            for order in range(8):
+                got = approximate(algebraic_system(g), order)[i]
+                assert got == brute.truncated(order), (render_series(got), var, order)
+
+
+def test_a_reused_system_answers_like_a_fresh_one():
+    grammars = [load_fixture(name) for name in (
+        "catalan.wcfg", "two_letter_star_cfl.wcfg", "tropical_paths.wcfg",
+        "binary_tail.wcfg")]
+    grammars += sweep_grammars()[:12]
+    for g in grammars:
+        system = algebraic_system(g)
+        for order in (9, 4, 12):
+            assert approximate(system, order) == \
+                approximate(algebraic_system(g), order), order
 
 
 def test_regular_system_round_trip():
