@@ -40,7 +40,6 @@ from .errors import (
 )
 from .grammar import load_grammar, parse_grammar, render_grammar
 from .groebner import (
-    MonomialOrder,
     SystemPolynomial,
     groebner_basis,
     poly_reduce,
@@ -81,7 +80,6 @@ __all__ = [
     "GrammarFormatError",
     "IterationCapExceeded",
     "KTooSmall",
-    "MonomialOrder",
     "NonConvergent",
     "NonUnitDenominatorAtOrigin",
     "NotCycleFree",

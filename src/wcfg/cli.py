@@ -77,18 +77,12 @@ def cmd_regularize(args):
     g = load_grammar(args.file)
     out = regularize(g, args.k)
     k = args.k if args.k is not None else dimension_bound(g)
-    document = (
-        f"# k: {k}\n"
-        f"# states: {len(out.variables)}\n"
-        f"# rules: {len(out.rules)}\n"
-        + render_grammar(out)
-    )
+    header = f"# k: {k}\n# states: {len(out.variables)}\n# rules: {len(out.rules)}\n"
+    document = header + render_grammar(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(document)
-        print(f"# k: {k}")
-        print(f"# states: {len(out.variables)}")
-        print(f"# rules: {len(out.rules)}")
+        sys.stdout.write(header)
     else:
         sys.stdout.write(document)
     return 0
@@ -218,28 +212,26 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()
+
+# first match wins, so subclasses come before WcfgError
+EXIT_CODES = (
+    (GrammarFormatError, 2),
+    (NotCycleFree, 3),
+    (ExpansiveGrammar, 4),
+    (WrongSemiring, 5),
+    (OSError, 2),
+    (WcfgError, 1),
+)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except GrammarFormatError as err:
+    except (WcfgError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NotCycleFree as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ExpansiveGrammar as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except WrongSemiring as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 5
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except WcfgError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -218,9 +218,7 @@ def decide_parikh(g, max_rounds=12):
     system = algebraic_system(g)
     name = system.variables[0]
     basis_g = eliminate_to_univariate(system)
-    cleared = clear_denominators(basis_g)
-    squarefree = univar_gcd_squarefree(cleared, name)
-    certificate = clear_denominators(squarefree)
+    certificate = clear_denominators(univar_gcd_squarefree(basis_g, name))
 
     if certificate.degree_in(name) == 1:
         linear, order, reason = certificate, 0, "linear certificate"

@@ -97,8 +97,10 @@ class NegativeExponent(WcfgError):
 
 
 class SymbolMismatch(WcfgError):
-    """Two polynomials over different symbol lists, or two series over
-    different symbol lists or semirings, met in one operation."""
+    """Two polynomials over different symbol lists, two system
+    polynomials over different terminals or grammar variables, or two
+    series over different symbol lists or semirings, met in one
+    operation."""
 
 
 class PrecisionExceeded(WcfgError):

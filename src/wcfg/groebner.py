@@ -1,16 +1,18 @@
 """Polynomials in grammar variables over the fraction field of the
 terminal-symbol polynomials, and Groebner bases for them.
 
-The monomial order is lexicographic with variable precedence
-Xn > ... > X1, where X1 is the start variable (first in the variable
-tuple).  It is an elimination order for X1: any monomial touching a
-variable other than X1 beats every pure power of X1, so the reduced
-basis of an ideal contains a generator of its K[X1] slice whenever one
-exists.
+There is one monomial order, lex_key: lexicographic with variable
+precedence Xn > ... > X1, where X1 is the start variable (first in the
+variable tuple), so later-declared variables are eliminated first.  It
+is an elimination order for X1: any monomial touching a variable other
+than X1 beats every pure power of X1, so the reduced basis of an ideal
+contains a generator of its K[X1] slice whenever one exists.
 """
 
+import heapq
 from fractions import Fraction
 
+from .errors import SymbolMismatch
 from .monomials import (
     mono_div,
     mono_divides,
@@ -18,65 +20,40 @@ from .monomials import (
     mono_is_one,
     mono_lcm,
     mono_mul,
-    mono_one,
 )
 from .polynomials import (Polynomial, RationalFunction, poly_divexact, poly_lcm,
                           poly_squarefree, render_polynomial, render_ratfun)
 
 
-class MonomialOrder:
-    """Lexicographic order on variable monomials, highest-precedence
-    variable last in the tuple (Xn first in comparisons)."""
-
-    __slots__ = ("variables",)
-
-    def __init__(self, variables):
-        self.variables = tuple(variables)
-
-    def key(self, mono):
-        return tuple(reversed(mono))
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.variables == other.variables
-
-    def __repr__(self):
-        prec = " > ".join(reversed(self.variables))
-        return f"MonomialOrder({prec})"
+def lex_key(mono):
+    """Sort key of the monomial order: lexicographic, last variable
+    highest."""
+    return mono[::-1]
 
 
 class SystemPolynomial:
     """A polynomial in the grammar variables with RationalFunction
-    coefficients, ordered by an attached MonomialOrder."""
+    coefficients, ordered by lex_key."""
 
-    __slots__ = ("syms", "variables", "order", "terms")
+    __slots__ = ("syms", "variables", "terms")
 
-    def __init__(self, syms, variables, terms, order=None):
+    def __init__(self, syms, variables, terms):
         self.syms = tuple(syms)
         self.variables = tuple(variables)
-        self.order = order if order is not None else MonomialOrder(variables)
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
     @classmethod
-    def zero(cls, syms, variables, order=None):
-        return cls(syms, variables, {}, order)
-
-    @classmethod
-    def variable(cls, syms, variables, name, order=None):
+    def variable(cls, syms, variables, name):
         i = variables.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(variables)))
         one = RationalFunction.const(syms, 1)
-        return cls(syms, variables, {mono: one}, order)
-
-    @classmethod
-    def constant(cls, syms, variables, coeff, order=None):
-        mono = mono_one(len(variables))
-        return cls(syms, variables, {mono: coeff}, order)
+        return cls(syms, variables, {mono: one})
 
     def is_zero(self):
         return not self.terms
 
     def lead_monomial(self):
-        return max(self.terms, key=self.order.key)
+        return max(self.terms, key=lex_key)
 
     def lead_term(self):
         m = self.lead_monomial()
@@ -92,14 +69,13 @@ class SystemPolynomial:
     def _map(self, fn):
         return SystemPolynomial(
             self.syms, self.variables,
-            {m: fn(c) for m, c in self.terms.items()}, self.order)
+            {m: fn(c) for m, c in self.terms.items()})
 
     def mul_term(self, mono, coeff):
         """Multiply by a single term coeff * mono."""
         return SystemPolynomial(
             self.syms, self.variables,
-            {mono_mul(m, mono): c * coeff for m, c in self.terms.items()},
-            self.order)
+            {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def scale(self, coeff):
         return self._map(lambda c: c * coeff)
@@ -107,29 +83,30 @@ class SystemPolynomial:
     def __neg__(self):
         return self._map(lambda c: -c)
 
+    def _check_shape(self, other):
+        if other.syms != self.syms or other.variables != self.variables:
+            raise SymbolMismatch(
+                f"system polynomials over {self.syms} in {self.variables} and "
+                f"over {other.syms} in {other.variables}")
+
     def __add__(self, other):
+        self._check_shape(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            if m in out:
-                out[m] = out[m] + c
-            else:
-                out[m] = c
-        return SystemPolynomial(self.syms, self.variables, out, self.order)
+            out[m] = out[m] + c if m in out else c
+        return SystemPolynomial(self.syms, self.variables, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        self._check_shape(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                prod = c1 * c2
-                if m in out:
-                    out[m] = out[m] + prod
-                else:
-                    out[m] = prod
-        return SystemPolynomial(self.syms, self.variables, out, self.order)
+                m, prod = mono_mul(m1, m2), c1 * c2
+                out[m] = out[m] + prod if m in out else prod
+        return SystemPolynomial(self.syms, self.variables, out)
 
     def __eq__(self, other):
         return (
@@ -143,18 +120,12 @@ class SystemPolynomial:
 
     def degree_in(self, name):
         i = self.variables.index(name)
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
+        return max((m[i] for m in self.terms), default=-1)
 
     def uses_only(self, name):
         """True when every monomial involves no variable besides `name`."""
         i = self.variables.index(name)
-        for m in self.terms:
-            for j, e in enumerate(m):
-                if e and j != i:
-                    return False
-        return True
+        return not any(e and j != i for m in self.terms for j, e in enumerate(m))
 
     def __repr__(self):
         return f"SystemPolynomial({render_system_polynomial(self)})"
@@ -177,25 +148,17 @@ def render_system_polynomial(p):
     if p.is_zero():
         return "0"
     parts = []
-    for mono in sorted(p.terms, key=p.order.key, reverse=True):
+    for mono in sorted(p.terms, key=lex_key, reverse=True):
         c = p.terms[mono]
         negative = c.num.first_term()[1] < 0
         mag = -c if negative else c
         factors = []
-        if mono_is_one(mono):
+        if mono_is_one(mono) or not mag.is_one():
             factors.append(_render_coefficient(mag))
-        else:
-            if not mag.is_one():
-                factors.append(_render_coefficient(mag))
-            for name, e in zip(p.variables, mono):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        if not parts:
-            parts.append(("- " if negative else "") + body)
-        else:
-            parts.append(("- " if negative else "+ ") + body)
+        factors += [name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(p.variables, mono) if e]
+        sign = "- " if negative else "+ " if parts else ""
+        parts.append(sign + "*".join(factors))
     return " ".join(parts)
 
 
@@ -204,20 +167,15 @@ def system_polynomials(system):
     as SystemPolynomials over the fraction field."""
     syms = system.terminals
     variables = system.variables
-    order = MonomialOrder(variables)
     out = []
     for vi, eq in enumerate(system.equations):
-        terms = {}
         xmono = tuple(1 if j == vi else 0 for j in range(len(variables)))
-        terms[xmono] = RationalFunction.const(syms, 1)
+        terms = {xmono: RationalFunction.const(syms, 1)}
         for weight, tmono, vmono in eq:
             poly = Polynomial(syms, {tmono: Fraction(weight)})
             coeff = RationalFunction.from_poly(-poly)
-            if vmono in terms:
-                terms[vmono] = terms[vmono] + coeff
-            else:
-                terms[vmono] = coeff
-        out.append(SystemPolynomial(syms, variables, terms, order))
+            terms[vmono] = terms[vmono] + coeff if vmono in terms else coeff
+        out.append(SystemPolynomial(syms, variables, terms))
     return out
 
 
@@ -225,27 +183,32 @@ def system_polynomials(system):
 
 def poly_reduce(f, basis):
     """Full normal form of f modulo the basis: no remainder term is
-    divisible by any basis leading monomial."""
-    useful = [g for g in basis if not g.is_zero()]
-    lead = [(g, g.lead_monomial(), g.lead_term()[1]) for g in useful]
+    divisible by any basis leading monomial.  Each lead term is divided
+    by the first basis element whose leading monomial divides it."""
+    divisors = []
+    for g in basis:
+        if not g.is_zero():
+            gm, gc = g.lead_term()
+            divisors.append((gm, gc, [(m, c) for m, c in g.terms.items() if m != gm]))
+    p = dict(f.terms)
     rem = {}
-    p = f
-    while not p.is_zero():
-        lm, lc = p.lead_term()
-        hit = None
-        for g, gm, gc in lead:
+    while p:
+        lm = max(p, key=lex_key)
+        lc = p.pop(lm)
+        for gm, gc, tail in divisors:
             if mono_divides(gm, lm):
-                hit = (g, gm, gc)
+                shift, q = mono_div(lm, gm), lc / gc
+                for tm, tc in tail:
+                    m = mono_mul(tm, shift)
+                    c = p[m] - tc * q if m in p else -(tc * q)
+                    if c.is_zero():
+                        del p[m]
+                    else:
+                        p[m] = c
                 break
-        if hit is None:
-            rem[lm] = lc
-            p = SystemPolynomial(p.syms, p.variables,
-                                 {m: c for m, c in p.terms.items() if m != lm},
-                                 p.order)
         else:
-            g, gm, gc = hit
-            p = p - g.mul_term(mono_div(lm, gm), lc / gc)
-    return SystemPolynomial(f.syms, f.variables, rem, f.order)
+            rem[lm] = lc
+    return SystemPolynomial(f.syms, f.variables, rem)
 
 
 def s_polynomial(f, g):
@@ -259,63 +222,51 @@ def s_polynomial(f, g):
 def buchberger(generators):
     """A Groebner basis of the ideal of the generators.
 
-    Normal pair selection (smallest leading-monomial lcm first) with the
-    coprime-leading-monomial skip."""
+    Normal pair selection (smallest leading-monomial lcm first, ties by
+    index pair) with the coprime-leading-monomial skip."""
     basis = [f.monic() for f in generators if not f.is_zero()]
     if not basis:
         raise ValueError("cannot take a Groebner basis of the zero ideal alone")
-    order = basis[0].order
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    leads = [f.lead_monomial() for f in basis]
+    pairs = []
+
+    def add_pairs(new):
+        for k in range(new):
+            heapq.heappush(pairs, (lex_key(mono_lcm(leads[k], leads[new])), (k, new)))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
     while pairs:
-        best = min(
-            pairs,
-            key=lambda ij: (order.key(mono_lcm(basis[ij[0]].lead_monomial(),
-                                               basis[ij[1]].lead_monomial())),
-                            ij),
-        )
-        pairs.remove(best)
-        i, j = best
-        fi, fj = basis[i], basis[j]
-        if mono_is_one(mono_gcd(fi.lead_monomial(), fj.lead_monomial())):
+        _, (i, j) = heapq.heappop(pairs)
+        if mono_is_one(mono_gcd(leads[i], leads[j])):
             continue
-        r = poly_reduce(s_polynomial(fi, fj), basis)
+        r = poly_reduce(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         basis.append(r.monic())
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
+        leads.append(r.lead_monomial())
+        add_pairs(len(basis) - 1)
     return basis
 
 
 def reduce_basis(basis):
     """The reduced Groebner basis: minimal, monic, inter-reduced, sorted
-    by ascending leading monomial.  Unique for the ideal and order."""
-    order = basis[0].order
+    by ascending leading monomial.  Unique for the ideal and order.
+
+    One inter-reduction pass suffices.  In a minimal basis no leading
+    monomial divides another, so reducing an element by the others
+    keeps its lead and leaves a tail with no term in the leading-term
+    ideal; that monic polynomial is the unique reduced basis element
+    with this lead (Cox, Little & O'Shea, ch. 2 section 7), and the
+    order of the minimal basis carries over."""
     work = sorted((g.monic() for g in basis if not g.is_zero()),
-                  key=lambda g: order.key(g.lead_monomial()))
+                  key=lambda g: lex_key(g.lead_monomial()))
     minimal = []
     for g in work:
-        gm = g.lead_monomial()
-        if any(mono_divides(h.lead_monomial(), gm) for h in minimal):
-            continue
-        minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            rest = minimal[:i] + minimal[i + 1:]
-            r = poly_reduce(minimal[i], rest)
-            if r.is_zero():
-                minimal = rest
-                changed = True
-                break
-            r = r.monic()
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-    minimal.sort(key=lambda g: order.key(g.lead_monomial()))
-    return minimal
+        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
+            minimal.append(g)
+    return [poly_reduce(g, minimal[:i] + minimal[i + 1:]).monic()
+            for i, g in enumerate(minimal)]
 
 
 def groebner_basis(generators):
@@ -333,9 +284,8 @@ def univar_coefficients(p, name=None):
     if not p.uses_only(name):
         raise ValueError(f"polynomial is not univariate in {name}")
     i = p.variables.index(name)
-    deg = p.degree_in(name) if p.terms else 0
     zero = RationalFunction.from_poly(Polynomial.zero(p.syms))
-    out = [zero] * (max(deg, 0) + 1)
+    out = [zero] * (max(p.degree_in(name), 0) + 1)
     for m, c in p.terms.items():
         out[m[i]] = c
     return out
@@ -343,19 +293,13 @@ def univar_coefficients(p, name=None):
 
 def univar_build(template, coeffs, name=None):
     """Rebuild a univariate SystemPolynomial from a coefficient list,
-    using the variables/order of the template."""
+    using the variables of the template."""
     if name is None:
         name = template.variables[0]
     i = template.variables.index(name)
     n = len(template.variables)
-    terms = {}
-    for d, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        mono = tuple(d if j == i else 0 for j in range(n))
-        terms[mono] = c
-    return SystemPolynomial(template.syms, template.variables, terms,
-                            template.order)
+    terms = {tuple(d if j == i else 0 for j in range(n)): c for d, c in enumerate(coeffs)}
+    return SystemPolynomial(template.syms, template.variables, terms)
 
 
 def univar_polynomial(p, name):

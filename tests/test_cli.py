@@ -259,3 +259,21 @@ def test_decide_is_unchanged_under_python_optimize(name):
                            capture_output=True, text=True)
             for flags in ((), ("-O",))]
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+def test_successive_calls_behave_like_fresh_processes(capsys):
+    # the parser is built once per process; no call may leak an option
+    # value or an error into the next
+    calls = [
+        ["regularize", fixture_path("binary_tail.wcfg"), "--k", "3"],
+        ["regularize", fixture_path("binary_tail.wcfg")],
+        ["regularize", fixture_path("catalan.wcfg")],
+        ["check", fixture_path("binary_tail.wcfg")],
+    ]
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "wcfg", *argv],
+                               capture_output=True, text=True)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [0, 0, 4, 0]

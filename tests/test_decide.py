@@ -232,11 +232,9 @@ def test_clear_denominators_golden():
 
 
 def univar_template(syms):
-    from wcfg import MonomialOrder, SystemPolynomial
+    from wcfg import SystemPolynomial
 
-    return SystemPolynomial(
-        syms, ("X",), {(1,): RationalFunction.const(syms, 1)},
-        MonomialOrder(("X",)))
+    return SystemPolynomial(syms, ("X",), {(1,): RationalFunction.const(syms, 1)})
 
 
 def test_clear_denominators_fixes_content_and_sign():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wcfg import (
-    MonomialOrder,
     Polynomial,
     RationalFunction,
     SystemPolynomial,
@@ -19,19 +18,20 @@ from wcfg import (
     univar_coefficients,
     univar_gcd_squarefree,
 )
-from wcfg.errors import NoUnivariateElement
-from wcfg.groebner import buchberger, reduce_basis, s_polynomial
+from wcfg.cli import main
+from wcfg.errors import NoUnivariateElement, SymbolMismatch
+from wcfg.groebner import buchberger, lex_key, reduce_basis, s_polynomial
+from wcfg.monomials import mono_divides
 
-from fixtures import load_fixture
+from fixtures import fixture_path, load_fixture
 from system_gen import random_system
 
 SYMS = ("a",)
 VARS = ("X1", "X2")
-ORDER = MonomialOrder(VARS)
 
 
 def sp(terms):
-    return SystemPolynomial(SYMS, VARS, terms, ORDER)
+    return SystemPolynomial(SYMS, VARS, terms)
 
 
 def rf(value):
@@ -49,10 +49,10 @@ ONE = Polynomial.const(SYMS, 1)
 def test_monomial_order_eliminates_later_variables_first():
     # X2 outranks any power of X1, so basis elements low in the order
     # are free of the later variables
-    assert ORDER.key((3, 0)) < ORDER.key((0, 1))
-    assert ORDER.key((0, 0)) < ORDER.key((1, 0))
-    assert ORDER.key((0, 1)) > ORDER.key((1, 0))
-    assert ORDER.key((1, 1)) == ORDER.key((1, 1))
+    assert lex_key((3, 0)) < lex_key((0, 1))
+    assert lex_key((0, 0)) < lex_key((1, 0))
+    assert lex_key((0, 1)) > lex_key((1, 0))
+    assert lex_key((1, 1)) == lex_key((1, 1))
 
 
 def test_lead_monomial_and_monic():
@@ -88,6 +88,19 @@ def test_reduce_basis_makes_elements_monic_and_minimal():
     # a redundant multiple disappears
     out = reduce_basis([two_x1, sp({(2, 0): rf(5)})])
     assert [p.terms for p in out] == [{(1, 0): rf(1)}]
+
+
+def test_arithmetic_rejects_polynomials_of_different_shapes():
+    x_in_xy = SystemPolynomial.variable(SYMS, ("X", "Y"), "X")
+    x_in_x = SystemPolynomial.variable(SYMS, ("X",), "X")
+    with pytest.raises(SymbolMismatch):
+        x_in_xy + x_in_x
+    with pytest.raises(SymbolMismatch):
+        x_in_xy * x_in_x
+    over_a = SystemPolynomial.variable(("a",), VARS, "X1")
+    over_b = SystemPolynomial.variable(("b",), VARS, "X2")
+    with pytest.raises(SymbolMismatch):
+        over_a + over_b
 
 
 def test_buchberger_closes_under_s_polynomials():
@@ -140,6 +153,63 @@ def test_unary_double_basis_golden():
     assert len(rendered) == 5
 
 
+# full `wcfg groebner` stdout of every shipped Q document: the reduced
+# basis in ascending order, then the univariate element
+GROEBNER_STDOUT = {
+    "binary_tail": [
+        "basis:",
+        "X1 - (a^3)/(1 - 2*b + b^2)",
+        "X2 - (a)/(1 - b)",
+        "g: X1 - (a^3)/(1 - 2*b + b^2)",
+    ],
+    "catalan": [
+        "basis:",
+        "X^2 - (1/a)*X + 1",
+        "g: X^2 - (1/a)*X + 1",
+    ],
+    "catalan_cancellation": [
+        "basis:",
+        "X1^3 - 3*a*X1^2 - (1 - 4*a^2 - 3*a^4)/(a^2)*X1 + (1 - 4*a^2 - a^4)/(a)",
+        "X1*Y - a*Y - 1/2*X1^2 - (1/2 - a^2)/(a)*X1 + (1/2 - 1/2*a^2)",
+        "Y^2 - (1/a)*Y + 1",
+        "Z + Y - X1 + a",
+        "g: X1^3 - 3*a*X1^2 - (1 - 4*a^2 - 3*a^4)/(a^2)*X1 + (1 - 4*a^2 - a^4)/(a)",
+    ],
+    "two_letter_star": [
+        "basis:",
+        "X1 - (1)/(1 - a - abar)",
+        "g: X1 - (1)/(1 - a - abar)",
+    ],
+    "two_letter_star_cfl": [
+        "basis:",
+        "X2 - (1)/(1 - a - abar)",
+        "Dbar^2 + (1 - a - abar - 2*a*abar)/(a*abar - a^2*abar - a*abar^2)*Dbar"
+        " - (a + abar - a^2 - 3*a*abar - abar^2)/(a*abar - 2*a^2*abar"
+        " - 2*a*abar^2 + a^3*abar + 2*a^2*abar^2 + a*abar^3)",
+        "D + Dbar - (1)/(1 - a - abar)",
+        "Y - (1)/(1 - a - abar)",
+        "Z - (abar)/(1 - a - abar)*Dbar"
+        " - (1 - a - 2*abar)/(1 - 2*a - 2*abar + a^2 + 2*a*abar + abar^2)",
+        "g: X2 - (1)/(1 - a - abar)",
+    ],
+    "unary_double": [
+        "basis:",
+        "X - (1)/(1 - 2*a)",
+        "Dbar^2 + (1 - 2*a - 2*a^2)/(a^2 - 2*a^3)*Dbar - (2 - 5*a)/(a - 4*a^2 + 4*a^3)",
+        "D + Dbar - (1)/(1 - 2*a)",
+        "Y - (1)/(1 - 2*a)",
+        "Z - (a)/(1 - 2*a)*Dbar - (1 - 3*a)/(1 - 4*a + 4*a^2)",
+        "g: X - (1)/(1 - 2*a)",
+    ],
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GROEBNER_STDOUT))
+def test_groebner_subcommand_golden(stem, capsys):
+    assert main(["groebner", fixture_path(f"{stem}.wcfg")]) == 0
+    assert capsys.readouterr().out == "\n".join(GROEBNER_STDOUT[stem]) + "\n"
+
+
 def test_basis_is_invariant_under_generator_permutation_and_scaling():
     g = load_fixture("unary_double.wcfg")
     gens = system_polynomials(algebraic_system(g))
@@ -162,6 +232,41 @@ def test_random_systems_reduce_their_generators_to_zero():
         for i, f in enumerate(basis):
             for h in basis[i + 1:]:
                 assert poly_reduce(s_polynomial(f, h), basis).is_zero()
+
+
+def random_reduced_bases(count):
+    rng = random.Random(20260822)  # the systems of the test above
+    return [groebner_basis(random_system(rng)) for _ in range(count)]
+
+
+def test_reduce_basis_output_is_reduced():
+    for basis in random_reduced_bases(25):
+        leads = [g.lead_monomial() for g in basis]
+        assert all(g.lead_term()[1].is_one() for g in basis)
+        assert leads == sorted(leads, key=lex_key)
+        for i, g in enumerate(basis):
+            for j, lead in enumerate(leads):
+                if i != j:
+                    assert not any(mono_divides(lead, m) for m in g.terms)
+
+
+def test_reduce_basis_is_idempotent():
+    for basis in random_reduced_bases(25):
+        assert reduce_basis(basis) == basis
+
+
+def test_normal_forms_are_canonical():
+    # f and f + t*g differ by an ideal element, so a reduced basis gives
+    # them one normal form
+    rng = random.Random(20261019)
+    for basis in random_reduced_bases(25):
+        syms, variables = basis[0].syms, basis[0].variables
+        f = sum(basis, SystemPolynomial.variable(syms, variables, variables[0]))
+        f = f * f
+        for g in basis:
+            mono = tuple(rng.randint(0, 1) for _ in variables)
+            t = RationalFunction.const(syms, rng.choice([-2, 1, Fraction(1, 3)]))
+            assert poly_reduce(f + g.mul_term(mono, t), basis) == poly_reduce(f, basis)
 
 
 def test_eliminate_to_univariate_golden():
