@@ -65,7 +65,7 @@ univar = eliminate_to_univariate(algebraic_system(load_grammar("grammars/catalan
 print("rational coefficients :", render_system_polynomial(univar))
 cleared = clear_denominators(univar)
 print("polynomial, primitive :", render_system_polynomial(cleared))
-squarefree = univar_gcd_squarefree(cleared)  # monic by construction
+squarefree = univar_gcd_squarefree(cleared)  # over Q[a], up to a rational factor
 print("cleared squarefree    :", render_system_polynomial(clear_denominators(squarefree)))
 
 print()

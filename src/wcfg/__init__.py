@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .decide import (
     DecisionReport,
-    clear_denominators,
     decide_parikh,
     discriminate_factor,
     eliminate_to_univariate,
@@ -41,6 +40,7 @@ from .errors import (
 from .grammar import load_grammar, parse_grammar, render_grammar
 from .groebner import (
     SystemPolynomial,
+    clear_denominators,
     groebner_basis,
     poly_reduce,
     render_system_polynomial,

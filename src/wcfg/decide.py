@@ -29,6 +29,7 @@ from .errors import (
 from .grammar import render_grammar
 from .groebner import (
     SystemPolynomial,
+    clear_denominators,
     groebner_basis,
     render_system_polynomial,
     system_polynomials,
@@ -50,8 +51,9 @@ class DecisionReport:
     """Outcome of the decision procedure.
 
     verdict is "holds" or "fails"; q the cleared-denominator certificate
-    polynomial (linear iff holds); witness the regular grammar (holds
-    only); basis_g the raw univariate basis element;
+    polynomial over Q[terminals] (linear iff holds); witness the regular
+    grammar (holds only); basis_g the univariate element of the reduced
+    basis, a monic view over Q(terminals);
     discrimination_order the series order that certified the verdict
     (0 when the certificate was purely symbolic); and reason the branch
     that certified it: "linear certificate", "reconstructed factor at
@@ -89,27 +91,6 @@ def eliminate_to_univariate(system):
             f"reduced basis has {len(found)} elements univariate in {name}"
         )
     return found[0]
-
-
-def clear_denominators(g):
-    """Scale a univariate-over-K polynomial to terminal-polynomial
-    coefficients: multiply by the lcm of the coefficient denominators,
-    divide by the rational content, and flip signs so the top
-    coefficient's canonical (first ascending) rational is positive."""
-    name = _univar_name(g)
-    poly = univar_polynomial(g, name)
-    cleared = univar_from_polynomial(g, poly.scale(1 / abs(poly.content())), name)
-    _, first = cleared.lead_term()[1].num.first_term()
-    return -cleared if first < 0 else cleared
-
-
-def _univar_name(p):
-    """The single variable a univariate SystemPolynomial actually uses,
-    falling back to the first declared one for constants."""
-    for i, name in enumerate(p.variables):
-        if any(m[i] for m in p.terms):
-            return name
-    return p.variables[0]
 
 
 def rational_reconstruct(r1, D, k):
@@ -167,13 +148,13 @@ def discriminate_factor(candidates, system, max_order=256):
     name = system.variables[0]
     coeffs = []
     for candidate in candidates:
-        cs = univar_coefficients(candidate, name)
-        if not all(c.is_polynomial() for c in cs):
+        if any(isinstance(c, RationalFunction) and not c.is_polynomial()
+               for c in candidate.terms.values()):
             raise WcfgError(
                 f"candidate {render_system_polynomial(candidate)} has a"
                 " non-polynomial coefficient"
             )
-        coeffs.append([c.num for c in cs])
+        coeffs.append(univar_coefficients(candidate.cleared(), name))
     if len(candidates) == 1:
         return 0
     alive = set(range(len(candidates)))
@@ -234,7 +215,7 @@ def decide_parikh(g, max_rounds=12):
             reason=reason,
         )
     coeffs = univar_coefficients(linear, name)
-    c, d = coeffs[1].num, (-coeffs[0]).num
+    c, d = coeffs[1], -coeffs[0]
     return DecisionReport(
         verdict="holds",
         q=linear,
@@ -255,8 +236,7 @@ def _linear_factor(certificate, system, max_rounds):
     at most D, the largest degree among the certificate's coefficients,
     at order (2D + 1) * 2**i."""
     name = system.variables[0]
-    coeffs = univar_coefficients(certificate, name)
-    D = max(c.num.total_degree() for c in coeffs if not c.is_zero())
+    D = max(c.total_degree() for c in univar_coefficients(certificate, name))
     poly = univar_polynomial(certificate, name)
     orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
     for order in orders:
@@ -287,11 +267,7 @@ def _linear_factor(certificate, system, max_rounds):
 def _linear_system_poly(template, name, c, d):
     """The polynomial c*X - d as a SystemPolynomial shaped like the
     template."""
-    return univar_build(
-        template,
-        [RationalFunction.from_poly(-d), RationalFunction.from_poly(c)],
-        name,
-    )
+    return univar_build(template, [-d, c], name)
 
 
 def render_report(report):

@@ -1,5 +1,5 @@
-"""Polynomials in grammar variables over the fraction field of the
-terminal-symbol polynomials, and Groebner bases for them.
+"""Polynomials in grammar variables over the terminal polynomials
+Q[terminals], and Groebner bases for them over Q(terminals).
 
 There is one monomial order, lex_key: lexicographic with variable
 precedence Xn > ... > X1, where X1 is the start variable (first in the
@@ -7,6 +7,13 @@ variable tuple), so later-declared variables are eliminated first.  It
 is an elimination order for X1: any monomial touching a variable other
 than X1 beats every pure power of X1, so the reduced basis of an ideal
 contains a generator of its K[X1] slice whenever one exists.
+
+Buchberger's algorithm runs fraction-free over Q[terminals]: a
+division step scales the dividend by a polynomial instead of dividing
+by a leading coefficient, a change by a nonzero factor of the field
+K = Q(terminals) only.  The reduced basis is returned as monic views
+over K (SystemPolynomial.monic); every function taking system
+polynomials clears a view's denominators first.
 """
 
 import heapq
@@ -21,8 +28,9 @@ from .monomials import (
     mono_lcm,
     mono_mul,
 )
-from .polynomials import (Polynomial, RationalFunction, poly_divexact, poly_lcm,
-                          poly_squarefree, render_polynomial, render_ratfun)
+from .polynomials import (Polynomial, RationalFunction, poly_cofactors, poly_divexact,
+                          poly_lcm, poly_primitive, poly_squarefree, rational_content,
+                          render_fraction, render_polynomial)
 
 
 def lex_key(mono):
@@ -32,8 +40,10 @@ def lex_key(mono):
 
 
 class SystemPolynomial:
-    """A polynomial in the grammar variables with RationalFunction
-    coefficients, ordered by lex_key."""
+    """A polynomial in the grammar variables with Polynomial
+    coefficients in the terminals, ordered by lex_key; or, made by
+    monic(), a monic view with RationalFunction coefficients.  The
+    arithmetic works over Q[terminals] only."""
 
     __slots__ = ("syms", "variables", "terms")
 
@@ -46,8 +56,7 @@ class SystemPolynomial:
     def variable(cls, syms, variables, name):
         i = variables.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(variables)))
-        one = RationalFunction.const(syms, 1)
-        return cls(syms, variables, {mono: one})
+        return cls(syms, variables, {mono: Polynomial.const(syms, 1)})
 
     def is_zero(self):
         return not self.terms
@@ -59,12 +68,32 @@ class SystemPolynomial:
         m = self.lead_monomial()
         return m, self.terms[m]
 
-    def monic(self):
-        _, lc = self.lead_term()
-        if lc.is_one():
+    def cleared(self):
+        """The polynomial over Q[terminals]: a view times the lcm of its
+        coefficient denominators, any other polynomial as it is."""
+        if not isinstance(next(iter(self.terms.values()), None), RationalFunction):
             return self
-        inv = lc.invert()
-        return self._map(lambda c: c * inv)
+        lcm = Polynomial.const(self.syms, 1)
+        for c in self.terms.values():
+            lcm = poly_lcm(lcm, c.den)
+        return self._map(lambda c: c.num if c.den == lcm else c.num * poly_divexact(lcm, c.den))
+
+    def monic(self):
+        """The monic view over Q(terminals): each coefficient divided by
+        the leading one, as a reduced RationalFunction."""
+        p = self.cleared()
+        _, lc = p.lead_term()
+        return p._map(lambda c: RationalFunction(c, lc))
+
+    def primitive(self):
+        """The polynomial over Q[terminals] divided by the gcd of its
+        coefficients, then cleared of its rational content and sign as
+        clear_denominators does."""
+        p = self.cleared()
+        if p.is_zero():
+            return p
+        _, parts = poly_primitive(list(p.terms.values()))
+        return clear_denominators(SystemPolynomial(p.syms, p.variables, dict(zip(p.terms, parts))))
 
     def _map(self, fn):
         return SystemPolynomial(
@@ -131,30 +160,39 @@ class SystemPolynomial:
         return f"SystemPolynomial({render_system_polynomial(self)})"
 
 
-def _render_coefficient(c):
-    """Coefficient as a factor string: bare single-term polynomials,
-    parenthesized otherwise."""
-    if c.is_polynomial():
-        body = render_polynomial(c.num)
-        if len(c.num.terms) > 1:
-            return "(" + body + ")"
-        return body
-    return render_ratfun(c)
+def clear_denominators(p):
+    """p over Q[terminals] divided by its rational content, with the
+    sign that makes the first (lowest) term of its leading coefficient
+    positive; a view is first scaled by the lcm of its coefficient
+    denominators.  No polynomial factor is divided out."""
+    p = p.cleared()
+    if p.is_zero():
+        return p
+    content = rational_content(p.terms.values())
+    if p.lead_term()[1].first_term()[1] < 0:
+        content = -content
+    return p.scale(1 / content)
 
 
 def render_system_polynomial(p):
     """Terms descending in the monomial order; signs taken from each
-    coefficient's lowest terminal monomial."""
+    coefficient's lowest terminal monomial.  A coefficient is a factor
+    string: bare single-term polynomials, parenthesized otherwise."""
     if p.is_zero():
         return "0"
     parts = []
     for mono in sorted(p.terms, key=lex_key, reverse=True):
         c = p.terms[mono]
-        negative = c.num.first_term()[1] < 0
-        mag = -c if negative else c
+        num, den = (c.num, c.den) if isinstance(c, RationalFunction) else (c, None)
+        negative = num.first_term()[1] < 0
+        if negative:
+            num = -num
         factors = []
-        if mono_is_one(mono) or not mag.is_one():
-            factors.append(_render_coefficient(mag))
+        if den is not None and not den.is_one():
+            factors.append(render_fraction(num, den))
+        elif mono_is_one(mono) or not num.is_one():
+            body = render_polynomial(num)
+            factors.append(f"({body})" if len(num.terms) > 1 else body)
         factors += [name if e == 1 else f"{name}^{e}"
                     for name, e in zip(p.variables, mono) if e]
         sign = "- " if negative else "+ " if parts else ""
@@ -164,16 +202,15 @@ def render_system_polynomial(p):
 
 def system_polynomials(system):
     """The generators Xi - p_i of a rational-weighted algebraic system,
-    as SystemPolynomials over the fraction field."""
+    as SystemPolynomials over Q[terminals]."""
     syms = system.terminals
     variables = system.variables
     out = []
     for vi, eq in enumerate(system.equations):
         xmono = tuple(1 if j == vi else 0 for j in range(len(variables)))
-        terms = {xmono: RationalFunction.const(syms, 1)}
+        terms = {xmono: Polynomial.const(syms, 1)}
         for weight, tmono, vmono in eq:
-            poly = Polynomial(syms, {tmono: Fraction(weight)})
-            coeff = RationalFunction.from_poly(-poly)
+            coeff = Polynomial(syms, {tmono: -Fraction(weight)})
             terms[vmono] = terms[vmono] + coeff if vmono in terms else coeff
         out.append(SystemPolynomial(syms, variables, terms))
     return out
@@ -182,22 +219,32 @@ def system_polynomials(system):
 # --- division and Buchberger ---------------------------------------------
 
 def poly_reduce(f, basis):
-    """Full normal form of f modulo the basis: no remainder term is
-    divisible by any basis leading monomial.  Each lead term is divided
-    by the first basis element whose leading monomial divides it."""
+    """Full normal form of f modulo the basis over Q(terminals), up to a
+    nonzero factor of Q[terminals], made primitive: no remainder term is
+    divisible by any basis leading monomial.  Each lead term lc*m is
+    divided by the first basis element g whose leading monomial divides
+    it: with h = gcd(lc, lc(g)), everything is multiplied by lc(g)/h and
+    lc/h times the shifted tail of g is subtracted."""
     divisors = []
     for g in basis:
         if not g.is_zero():
+            g = g.cleared()
             gm, gc = g.lead_term()
             divisors.append((gm, gc, [(m, c) for m, c in g.terms.items() if m != gm]))
-    p = dict(f.terms)
+    p = dict(f.cleared().terms)
     rem = {}
     while p:
         lm = max(p, key=lex_key)
         lc = p.pop(lm)
         for gm, gc, tail in divisors:
             if mono_divides(gm, lm):
-                shift, q = mono_div(lm, gm), lc / gc
+                q, u = poly_cofactors(lc, gc)
+                if u.is_constant():  # a unit: divide q, keep the rest small
+                    q = q.scale(1 / u.constant_term())
+                else:
+                    p = {m: c * u for m, c in p.items()}
+                    rem = {m: c * u for m, c in rem.items()}
+                shift = mono_div(lm, gm)
                 for tm, tc in tail:
                     m = mono_mul(tm, shift)
                     c = p[m] - tc * q if m in p else -(tc * q)
@@ -208,23 +255,27 @@ def poly_reduce(f, basis):
                 break
         else:
             rem[lm] = lc
-    return SystemPolynomial(f.syms, f.variables, rem)
+    return SystemPolynomial(f.syms, f.variables, rem).primitive()
 
 
 def s_polynomial(f, g):
+    """The S-polynomial over Q[terminals]: with h the gcd of the leading
+    coefficients, lc(g)/h and lc(f)/h take the place of their inverses."""
+    f, g = f.cleared(), g.cleared()
     fm, fc = f.lead_term()
     gm, gc = g.lead_term()
     l = mono_lcm(fm, gm)
-    return (f.mul_term(mono_div(l, fm), fc.invert())
-            - g.mul_term(mono_div(l, gm), gc.invert()))
+    a, b = poly_cofactors(fc, gc)
+    return f.mul_term(mono_div(l, fm), b) - g.mul_term(mono_div(l, gm), a)
 
 
 def buchberger(generators):
-    """A Groebner basis of the ideal of the generators.
+    """A Groebner basis of the ideal of the generators, each element
+    primitive over Q[terminals].
 
     Normal pair selection (smallest leading-monomial lcm first, ties by
     index pair) with the coprime-leading-monomial skip."""
-    basis = [f.monic() for f in generators if not f.is_zero()]
+    basis = [f.primitive() for f in generators if not f.is_zero()]
     if not basis:
         raise ValueError("cannot take a Groebner basis of the zero ideal alone")
     leads = [f.lead_monomial() for f in basis]
@@ -243,23 +294,24 @@ def buchberger(generators):
         r = poly_reduce(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        basis.append(r.monic())
+        basis.append(r)
         leads.append(r.lead_monomial())
         add_pairs(len(basis) - 1)
     return basis
 
 
 def reduce_basis(basis):
-    """The reduced Groebner basis: minimal, monic, inter-reduced, sorted
-    by ascending leading monomial.  Unique for the ideal and order.
+    """The reduced Groebner basis as monic views: minimal, monic,
+    inter-reduced, sorted by ascending leading monomial.  Unique for the
+    ideal and order.
 
     One inter-reduction pass suffices.  In a minimal basis no leading
     monomial divides another, so reducing an element by the others
     keeps its lead and leaves a tail with no term in the leading-term
-    ideal; that monic polynomial is the unique reduced basis element
-    with this lead (Cox, Little & O'Shea, ch. 2 section 7), and the
-    order of the minimal basis carries over."""
-    work = sorted((g.monic() for g in basis if not g.is_zero()),
+    ideal; that polynomial made monic is the unique reduced basis
+    element with this lead (Cox, Little & O'Shea, ch. 2 section 7), and
+    the order of the minimal basis carries over."""
+    work = sorted((g.cleared() for g in basis if not g.is_zero()),
                   key=lambda g: lex_key(g.lead_monomial()))
     minimal = []
     for g in work:
@@ -278,14 +330,14 @@ def groebner_basis(generators):
 
 def univar_coefficients(p, name=None):
     """Coefficient list of a polynomial in a single variable, constant
-    first.  The polynomial must use no other variable."""
+    first, as stored (a view's are RationalFunctions).  The polynomial
+    must use no other variable."""
     if name is None:
         name = p.variables[0]
     if not p.uses_only(name):
         raise ValueError(f"polynomial is not univariate in {name}")
     i = p.variables.index(name)
-    zero = RationalFunction.from_poly(Polynomial.zero(p.syms))
-    out = [zero] * (max(p.degree_in(name), 0) + 1)
+    out = [Polynomial.zero(p.syms)] * (max(p.degree_in(name), 0) + 1)
     for m, c in p.terms.items():
         out[m[i]] = c
     return out
@@ -303,17 +355,12 @@ def univar_build(template, coeffs, name=None):
 
 
 def univar_polynomial(p, name):
-    """A univariate p with its coefficient denominators cleared (scaled
-    by their lcm), as one Polynomial in the terminals plus `name`,
-    appended last so that it is poly_gcd's main symbol."""
-    coeffs = univar_coefficients(p, name)
-    lcm = Polynomial.const(p.syms, 1)
-    for c in coeffs:
-        lcm = poly_lcm(lcm, c.den)
+    """A univariate p over Q[terminals] (a view cleared first) as one
+    Polynomial in the terminals plus `name`, appended last so that it is
+    poly_gcd's main symbol."""
     terms = {}
-    for e, c in enumerate(coeffs):
-        num = c.num if c.den == lcm else c.num * poly_divexact(lcm, c.den)
-        for m, v in num.terms.items():
+    for e, c in enumerate(univar_coefficients(p.cleared(), name)):
+        for m, v in c.terms.items():
             terms[m + (e,)] = v
     return Polynomial(p.syms + (name,), terms, _clean=False)
 
@@ -327,15 +374,15 @@ def univar_from_polynomial(template, poly, name):
         buckets.setdefault(m[-1], {})[m[:-1]] = c
     coeffs = [Polynomial(template.syms, buckets.get(e, {}), _clean=False)
               for e in range(max(buckets, default=0) + 1)]
-    return univar_build(template, [RationalFunction.from_poly(c) for c in coeffs], name)
+    return univar_build(template, coeffs, name)
 
 
 def univar_gcd_squarefree(p, name=None):
-    """The squarefree part p / gcd(p, p'), monic, same roots without
-    multiplicity.  Gcd and quotient are taken in Q[terminals][X] after
-    clearing denominators; only the final monic scaling works over the
-    rational-function field."""
+    """The squarefree part p / gcd(p, p') over Q[terminals], taken in
+    Q[terminals][X] (a view cleared first): same roots without
+    multiplicity, no factor free of X, and defined up to a rational
+    factor; clear_denominators fixes that factor."""
     if name is None:
         name = p.variables[0]
     squarefree = poly_squarefree(univar_polynomial(p, name))
-    return univar_from_polynomial(p, squarefree, name).monic()
+    return univar_from_polynomial(p, squarefree, name)

@@ -1,7 +1,11 @@
-"""Exact multivariate polynomials over Q and their fraction field.
+"""Exact multivariate polynomials over Q, and rational functions as a
+reduced view.
 
 Polynomial represents an element of Q[s1, ..., sn] as {exponent tuple:
-Fraction}; RationalFunction is a reduced fraction of two Polynomials.
+Fraction}, with ring arithmetic, exact division and gcds.
+RationalFunction is a reduced fraction of two Polynomials with no
+arithmetic of its own: it is the canonical form of a monic Groebner
+basis coefficient over Q(s1, ..., sn), and the input of series_expand.
 
 Canonical forms (load-bearing for printing and witnesses):
 
@@ -207,12 +211,7 @@ class Polynomial:
         self == content * primitive_part always holds exactly."""
         if not self.terms:
             return _ZERO
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, abs(c.numerator))
-            den = int_lcm(den, c.denominator)
-        magnitude = Fraction(num, den)
+        magnitude = rational_content([self])
         _, first = self.first_term()
         return magnitude if first > 0 else -magnitude
 
@@ -228,6 +227,18 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({render_polynomial(self)})"
+
+
+def rational_content(polys):
+    """Positive gcd of the numerators over the lcm of the denominators
+    of every coefficient of the polynomials; 0 when all are zero."""
+    num = 0
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            num = int_gcd(num, c.numerator)
+            den = int_lcm(den, c.denominator)
+    return Fraction(num, den)
 
 
 def render_polynomial(p):
@@ -319,8 +330,9 @@ def _from_coeff_list(syms, v, cs):
     return Polynomial(syms, terms, _clean=False)
 
 
-def _primitive(cs):
-    """(content, primitive part) of a nonzero coefficient list.  The
+def poly_primitive(cs):
+    """(content, primitive parts) of a list of polynomials, not all
+    zero: the content is their gcd, and each part is divided by it.  The
     content is taken from the entry with the fewest terms up and stops
     once it is constant: a gcd with a small entry is cheap and often
     constant at once.  Taken in degree order instead, one random
@@ -389,8 +401,8 @@ def _gcd_primitive(p, q):
     if p == q:
         return p.primitive_part()
     v = max(i for m in (*p.terms, *q.terms) for i, e in enumerate(m) if e)
-    cont_p, a = _primitive(_coeff_list(p, v))
-    cont_q, b = _primitive(_coeff_list(q, v))
+    cont_p, a = poly_primitive(_coeff_list(p, v))
+    cont_q, b = poly_primitive(_coeff_list(q, v))
     cont = poly_gcd(cont_p, cont_q)
     if len(a) < len(b):
         a, b = b, a
@@ -399,8 +411,16 @@ def _gcd_primitive(p, q):
         r = _pseudo_rem(a, b)
         if not r:
             break
-        a, b = b, _primitive(r)[1]
+        a, b = b, poly_primitive(r)[1]
     return (cont * _from_coeff_list(p.syms, v, b)).primitive_part()
+
+
+def poly_cofactors(p, q):
+    """(p / g, q / g) for g = poly_gcd(p, q)."""
+    g = poly_gcd(p, q)
+    if g.is_constant():
+        return p, q
+    return poly_divexact(p, g), poly_divexact(q, g)
 
 
 def poly_squarefree(p):
@@ -414,7 +434,7 @@ def poly_squarefree(p):
         return Polynomial.const(p.syms, 1)
     if _coprime_mod_p(p):
         v = len(p.syms) - 1
-        content, cs = _primitive(_coeff_list(p, v))
+        content, cs = poly_primitive(_coeff_list(p, v))
         if content.is_constant():
             return p
         # p / content.primitive_part(), the normalised gcd poly_gcd returns
@@ -461,7 +481,8 @@ def poly_lcm(p, q):
 
 
 class RationalFunction:
-    """A reduced fraction num/den of polynomials over Q.
+    """A reduced fraction num/den of polynomials over Q, with no
+    arithmetic: compute over Q[syms] and build the fraction last.
 
     Invariants: den is nonzero with first canonical coefficient exactly 1,
     gcd(num, den) is constant, and num is the zero polynomial only in the
@@ -480,23 +501,11 @@ class RationalFunction:
             self.den = Polynomial.const(num.syms, 1)
             return
         if not _reduced:
-            if den.is_constant():
-                c = den.constant_term()
-                num = num.scale(_ONE / c)
-                den = Polynomial.const(num.syms, 1)
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
-                if den.is_constant():
-                    num = num.scale(_ONE / den.constant_term())
-                    den = Polynomial.const(num.syms, 1)
-                else:
-                    _, c = den.first_term()
-                    if c != 1:
-                        num = num.scale(_ONE / c)
-                        den = den.scale(_ONE / c)
+            if not den.is_constant():
+                num, den = poly_cofactors(num, den)
+            _, c = den.first_term()
+            if c != 1:
+                num, den = num.scale(_ONE / c), den.scale(_ONE / c)
         self.num = num
         self.den = den
 
@@ -531,54 +540,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction.from_poly(other)
-        return RationalFunction.const(self.syms, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction(self.num + other.num, None, _reduced=True)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return RationalFunction.from_poly(Polynomial.zero(self.syms))
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction(self.num * other.num, None, _reduced=True)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def invert(self):
-        if self.is_zero():
-            raise ZeroDenominator("cannot invert the zero rational function")
-        return RationalFunction(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).invert()
-
     def __repr__(self):
         return f"RationalFunction({render_ratfun(self)})"
 
@@ -586,10 +547,14 @@ class RationalFunction:
 def render_ratfun(f):
     """`(num)/(den)`, or the bare polynomial when the denominator is 1;
     one-term fractions compact to `(num/den)`."""
-    if f.den.is_one():
-        return render_polynomial(f.num)
-    num = render_polynomial(f.num)
-    den = render_polynomial(f.den)
-    if len(f.num.terms) == 1 and len(f.den.terms) == 1:
-        return f"({num}/{den})"
-    return f"({num})/({den})"
+    return render_fraction(f.num, f.den)
+
+
+def render_fraction(num, den):
+    """render_ratfun of the reduced fraction num/den."""
+    if den.is_one():
+        return render_polynomial(num)
+    top, bottom = render_polynomial(num), render_polynomial(den)
+    if len(num.terms) == 1 and len(den.terms) == 1:
+        return f"({top}/{bottom})"
+    return f"({top})/({bottom})"

@@ -230,7 +230,8 @@ def algebraic_system(grammar):
             for (tm, vm), w in merged.items()
             if not sr.is_zero(w)
         ]
-        eq.sort(key=lambda t: (grade_key(t[2]), grade_key(t[1])))
+        if len(eq) > 1:
+            eq.sort(key=lambda t: (grade_key(t[2]), grade_key(t[1])))
         equations.append(tuple(eq))
     return AlgebraicSystem(sr, grammar.terminals, variables, equations)
 

@@ -190,26 +190,31 @@ def derivation_from_tree(grammar, tree, child_order=None):
 
 def min_yield_lengths(grammar):
     """Length of the shortest terminal word each variable derives, or
-    None for variables deriving no terminal word at all."""
+    None for variables deriving no terminal word at all.
+
+    A worklist of rules: a rule is examined again only when a variable
+    in its body gets a shorter length."""
     best = {v: None for v in grammar.variables}
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            total = 0
-            ok = True
-            for sym in rule.rhs:
-                if grammar.is_terminal(sym):
-                    total += 1
-                else:
-                    known = best[sym]
-                    if known is None:
-                        ok = False
-                        break
-                    total += known
-            if ok and (best[rule.lhs] is None or total < best[rule.lhs]):
+    users = {v: [] for v in grammar.variables}
+    for ri, rule in enumerate(grammar.rules):
+        for sym in rule.rhs:
+            if sym in users:
+                users[sym].append(ri)
+    pending = set(range(len(grammar.rules)))
+    while pending:
+        rule = grammar.rules[pending.pop()]
+        total = 0
+        for sym in rule.rhs:
+            if grammar.is_terminal(sym):
+                total += 1
+            elif best[sym] is None:
+                break
+            else:
+                total += best[sym]
+        else:
+            if best[rule.lhs] is None or total < best[rule.lhs]:
                 best[rule.lhs] = total
-                changed = True
+                pending.update(users[rule.lhs])
     return best
 
 

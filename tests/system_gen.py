@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from wcfg import Polynomial, RationalFunction, SystemPolynomial
+from wcfg import Polynomial, SystemPolynomial
 
 
 def random_system(rng, max_vars=3, max_coeff_degree=2):
@@ -26,7 +26,7 @@ def random_system(rng, max_vars=3, max_coeff_degree=2):
             rng.choice(letter_monos): Fraction(rng.choice([-2, -1, 1, 2, 3]))
             for _ in range(rng.randint(1, 2))
         }
-        return RationalFunction.from_poly(Polynomial(syms, terms))
+        return Polynomial(syms, terms)
 
     polys = []
     for _ in range(rng.randint(2, 3)):

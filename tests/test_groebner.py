@@ -9,6 +9,7 @@ from wcfg import (
     RationalFunction,
     SystemPolynomial,
     algebraic_system,
+    clear_denominators,
     eliminate_to_univariate,
     groebner_basis,
     poly_reduce,
@@ -22,6 +23,7 @@ from wcfg.cli import main
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
 from wcfg.groebner import buchberger, lex_key, reduce_basis, s_polynomial
 from wcfg.monomials import mono_divides
+from wcfg.polynomials import poly_gcd, rational_content
 
 from fixtures import fixture_path, load_fixture
 from system_gen import random_system
@@ -35,11 +37,7 @@ def sp(terms):
 
 
 def rf(value):
-    return RationalFunction.const(SYMS, value)
-
-
-def rfp(poly):
-    return RationalFunction.from_poly(poly)
+    return Polynomial.const(SYMS, value)
 
 
 A = Polynomial.variable(SYMS, "a")
@@ -60,15 +58,15 @@ def test_lead_monomial_and_monic():
     assert p.lead_monomial() == (0, 1)
     m = p.monic()
     assert m.terms[(0, 1)].is_one()
-    assert m.terms[(1, 0)] == rf(Fraction(1, 2))
+    assert m.terms[(1, 0)] == RationalFunction.const(SYMS, Fraction(1, 2))
 
 
 def test_poly_reduce_eliminates_leading_terms():
-    basis = [sp({(1, 0): rf(1), (0, 0): rfp(-A)})]  # X1 - a
-    f = sp({(2, 0): rf(1)})                         # X1^2
+    basis = [sp({(1, 0): rf(1), (0, 0): -A})]    # X1 - a
+    f = sp({(0, 1): rf(1), (2, 0): rf(1)})       # X2 + X1^2
     r = poly_reduce(f, basis)
-    # X1^2 reduces to a^2
-    assert r.terms == {(0, 0): rfp(A * A)}
+    # X1^2 reduces to a^2; the normal form X2 + a^2 is already primitive
+    assert r.terms == {(0, 1): ONE, (0, 0): A * A}
 
 
 def test_s_polynomial_cancels_leads():
@@ -78,16 +76,21 @@ def test_s_polynomial_cancels_leads():
     lead_f, lead_g = f.lead_monomial(), g.lead_monomial()
     assert all(m not in ((2, 1),) for m in s.terms)
     assert s.terms == {(0, 1): rf(1), (2, 0): rf(-1)}
+    # with leading coefficients a and 1 + a, each is the other's multiplier
+    f = sp({(2, 0): A, (0, 0): rf(1)})          # a X1^2 + 1
+    g = sp({(1, 1): ONE + A, (1, 0): rf(1)})    # (1 + a) X1 X2 + X1
+    assert s_polynomial(f, g).terms == {(0, 1): ONE + A, (2, 0): -A}
 
 
 def test_reduce_basis_makes_elements_monic_and_minimal():
     two_x1 = sp({(1, 0): rf(2)})
+    one = RationalFunction.const(SYMS, 1)
     out = reduce_basis([two_x1])
     assert len(out) == 1
-    assert out[0].terms == {(1, 0): rf(1)}
+    assert out[0].terms == {(1, 0): one}
     # a redundant multiple disappears
     out = reduce_basis([two_x1, sp({(2, 0): rf(5)})])
-    assert [p.terms for p in out] == [{(1, 0): rf(1)}]
+    assert [p.terms for p in out] == [{(1, 0): one}]
 
 
 def test_arithmetic_rejects_polynomials_of_different_shapes():
@@ -218,7 +221,7 @@ def test_basis_is_invariant_under_generator_permutation_and_scaling():
     for _ in range(3):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        scaled = [p.scale(rf(rng.choice([2, -1, Fraction(1, 3)]))) for p in shuffled]
+        scaled = [p.scale(rng.choice([2, -1, Fraction(1, 3)])) for p in shuffled]
         assert {render_system_polynomial(p) for p in groebner_basis(scaled)} == reference
 
 
@@ -261,12 +264,42 @@ def test_normal_forms_are_canonical():
     rng = random.Random(20261019)
     for basis in random_reduced_bases(25):
         syms, variables = basis[0].syms, basis[0].variables
-        f = sum(basis, SystemPolynomial.variable(syms, variables, variables[0]))
+        cleared = [clear_denominators(g) for g in basis]
+        f = sum(cleared, SystemPolynomial.variable(syms, variables, variables[0]))
         f = f * f
-        for g in basis:
+        for g in cleared:
             mono = tuple(rng.randint(0, 1) for _ in variables)
-            t = RationalFunction.const(syms, rng.choice([-2, 1, Fraction(1, 3)]))
+            t = rng.choice([-2, 1, Fraction(1, 3)])
             assert poly_reduce(f + g.mul_term(mono, t), basis) == poly_reduce(f, basis)
+
+
+def test_normal_forms_agree_modulo_any_basis_of_the_ideal():
+    # the reduced basis comes as monic views over Q(a, b), cleared on
+    # entry; buchberger's unreduced basis is over Q[a, b] already
+    rng = random.Random(20260822)  # the systems of the tests above
+    nonzero = 0
+    for _ in range(25):
+        gens = random_system(rng)
+        reduced, unreduced = groebner_basis(gens), buchberger(gens)
+        syms, variables = gens[0].syms, gens[0].variables
+        x = SystemPolynomial.variable(syms, variables, variables[0])
+        y = SystemPolynomial.variable(syms, variables, variables[-1])
+        a = SystemPolynomial(syms, variables, {(0,) * len(variables): Polynomial.variable(syms, "a")})
+        for f in (x * y + a, (x + y + a) * (x - a) * y, gens[0] * x + a * y):
+            r = poly_reduce(f, reduced)
+            assert r == poly_reduce(f, unreduced)
+            if r.is_zero():
+                continue
+            nonzero += 1
+            coeffs = list(r.terms.values())
+            content = coeffs[0]
+            for c in coeffs[1:]:
+                content = poly_gcd(content, c)
+            assert content.is_constant() and rational_content(coeffs) == 1
+            assert r.lead_term()[1].first_term()[1] > 0
+            for g in reduced:
+                assert not any(mono_divides(g.lead_monomial(), m) for m in r.terms)
+    assert nonzero > 25  # 33 of the 75 normal forms are nonzero
 
 
 def test_eliminate_to_univariate_golden():
@@ -310,16 +343,17 @@ def test_univar_build_round_trip():
 
 
 def test_univar_gcd_squarefree():
-    template = SystemPolynomial(SYMS, ("X",), {(1,): RationalFunction.const(SYMS, 1)})
-    x_minus_a = univar_build(template, [rfp(-A), rf(1)])
+    template = SystemPolynomial(SYMS, ("X",), {(1,): ONE})
+    x_minus_a = univar_build(template, [-A, rf(1)])
     square = x_minus_a * x_minus_a
-    assert render_system_polynomial(univar_gcd_squarefree(square)) == "X - a"
+    assert render_system_polynomial(univar_gcd_squarefree(square).monic()) == "X - a"
     # already squarefree inputs come back unchanged up to normalisation
     univar = eliminate_to_univariate(algebraic_system(load_fixture("catalan.wcfg")))
-    assert render_system_polynomial(univar_gcd_squarefree(univar)) == "X^2 - (1/a)*X + 1"
+    assert (render_system_polynomial(univar_gcd_squarefree(univar).monic())
+            == "X^2 - (1/a)*X + 1")
     # X^2 (X - 1) loses the repeated factor
     cubic = univar_build(template, [rf(0), rf(0), rf(-1), rf(1)])
-    assert render_system_polynomial(univar_gcd_squarefree(cubic)) == "X^2 - X"
+    assert render_system_polynomial(univar_gcd_squarefree(cubic).monic()) == "X^2 - X"
 
 
 SYMS2 = ("a", "b")
@@ -339,12 +373,8 @@ def test_squarefree_part_of_a_planted_square(c, u, v):
     assume(not c.is_constant())
     v = Polynomial.const(SYMS2, v)
     assume(u != v)
-    template = SystemPolynomial(SYMS2, ("X",), {(1,): RationalFunction.const(SYMS2, 1)})
-
-    def build(*coeffs):
-        return univar_build(template, [RationalFunction.from_poly(x) for x in coeffs])
-
     one = Polynomial.const(SYMS2, 1)
-    f, g = build(-u, one), build(-v, one)
-    p = build(c) * f * f * g
-    assert univar_gcd_squarefree(p) == (f * g).monic()
+    template = SystemPolynomial(SYMS2, ("X",), {(1,): one})
+    f, g = univar_build(template, [-u, one]), univar_build(template, [-v, one])
+    p = univar_build(template, [c]) * f * f * g
+    assert univar_gcd_squarefree(p).monic() == (f * g).monic()

@@ -24,7 +24,10 @@ from wcfg.trees import (
     tree_size,
 )
 
+from wcfg import regularize
+
 from fixtures import load_fixture
+from grammar_gen import random_nonexpansive_family
 
 BT = load_fixture("binary_tail.wcfg")
 # rule indices in binary_tail: 0: X1 -> a X2 X2, 1: X2 -> b X2, 2: X2 -> a
@@ -97,6 +100,45 @@ def test_min_yield_lengths():
     lengths = min_yield_lengths(BT)
     assert lengths["X2"] == 1
     assert lengths["X1"] == 3
+
+
+def pass_until_stable_yield_lengths(grammar):
+    """Reference: full passes over every rule until nothing changes."""
+    best = {v: None for v in grammar.variables}
+    changed = True
+    while changed:
+        changed = False
+        for rule in grammar.rules:
+            lengths = [1 if grammar.is_terminal(s) else best[s] for s in rule.rhs]
+            if None in lengths:
+                continue
+            if best[rule.lhs] is None or sum(lengths) < best[rule.lhs]:
+                best[rule.lhs] = sum(lengths)
+                changed = True
+    return best
+
+
+def chain_grammar(k):
+    """X_i -> X_{i-1} X_{i-1} | a for i = k..1, and X0 -> a."""
+    lines = ["semiring N", "terminals a",
+             "variables " + " ".join(f"X{i}" for i in range(k, -1, -1)), f"start X{k}"]
+    for i in range(k, 0, -1):
+        lines += [f"rule X{i} -> X{i - 1} X{i - 1} : 1", f"rule X{i} -> a : 1"]
+    return parse_grammar("\n".join(lines + ["rule X0 -> a : 1"]) + "\n")
+
+
+def test_min_yield_lengths_match_the_pass_until_stable_loop():
+    grammars = [fam[key] for fam in random_nonexpansive_family(20261018, 40) for key in fam]
+    # the regular form of the dimension-5 chain: 528 variables, 637 rules
+    chain = regularize(chain_grammar(5))
+    assert (len(chain.variables), len(chain.rules)) == (528, 637)
+    # a variable with no terminal word, and one reached through it
+    grammars += [chain, parse_grammar(
+        "semiring N\nterminals a\nvariables S A B\nstart S\n"
+        "rule S -> a : 1\nrule S -> A : 1\nrule A -> A a : 1\nrule B -> A S : 1\n")]
+    assert any(None in min_yield_lengths(g).values() for g in grammars)
+    for g in grammars:
+        assert min_yield_lengths(g) == pass_until_stable_yield_lengths(g)
 
 
 def test_enumerate_trees_by_terminal_budget():
