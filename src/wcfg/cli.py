@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from .analysis import degree, dimension_bound, is_cycle_free, is_nonexpansive
-from .decide import decide_parikh, eliminate_to_univariate, render_report
+from .decide import decide_parikh, render_report, univariate_element
 from .errors import (
     ExpansiveGrammar,
     GrammarFormatError,
@@ -158,7 +158,7 @@ def cmd_groebner(args):
     print("basis:")
     for element in basis:
         print(render_system_polynomial(element))
-    univar = eliminate_to_univariate(system)
+    univar = univariate_element(basis, system.variables[0])
     print("g: " + render_system_polynomial(univar))
     return 0
 

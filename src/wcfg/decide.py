@@ -72,15 +72,19 @@ class DecisionReport:
 
 def eliminate_to_univariate(system):
     """The unique member of the reduced Groebner basis of {Xi - p_i}
-    involving only the start variable.
+    involving only the start variable, by univariate_element."""
+    return univariate_element(groebner_basis(system_polynomials(system)), system.variables[0])
+
+
+def univariate_element(basis, name):
+    """The unique member of a reduced basis of a system's ideal that
+    involves only the start variable `name`.
 
     The elimination order sorts the start variable last, so the basis of
     a solvable system always contains exactly one such element; none,
     or more than one, signals an inconsistent input or a faulty basis
     and raises NoUnivariateElement.
     """
-    basis = groebner_basis(system_polynomials(system))
-    name = system.variables[0]
     found = [p for p in basis if p.uses_only(name) and p.degree_in(name) >= 1]
     if not found:
         raise NoUnivariateElement(

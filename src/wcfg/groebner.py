@@ -171,7 +171,7 @@ def clear_denominators(p):
     content = rational_content(p.terms.values())
     if p.lead_term()[1].first_term()[1] < 0:
         content = -content
-    return p.scale(1 / content)
+    return p if content == 1 else p.scale(1 / content)
 
 
 def render_system_polynomial(p):

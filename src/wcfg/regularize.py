@@ -19,13 +19,13 @@ Three stages, all weight-preserving in the sense stated with each:
 
 3. ``regularize`` turns the pending-variable stacks of those runs into
    grammar variables: state ``<X.0.e|Y.1.m>`` means "derive X.0.e, then
-   Y.1.m".  Expanding the head of the stack with each annotated rule
-   and emitting its terminals up front gives a regular grammar whose
-   Parikh series equals the input's over any commutative semiring.
+   Y.1.m".  Replacing the head of a stack by the variables of each of
+   its rules, in ``ldf_child_order``, and emitting the rule's terminals
+   up front gives a regular grammar whose Parikh series equals the
+   input's over any commutative semiring.
 """
 
 import itertools
-from collections import deque
 
 from .analysis import degree, dimension_bound, is_nonexpansive
 from .errors import BrokenDerivation, ExpansiveGrammar, GrammarFormatError, KTooSmall
@@ -177,17 +177,6 @@ def _trim(names, rules, start):
                  if r.lhs not in dead and not any(s in dead for s in r.rhs)]
 
 
-def ldf_sort(sentence):
-    """Reorder a sentence over terminals and annotated variables so the
-    terminals come first (original order kept) and the variables follow
-    grouped by ascending annotation level, stably."""
-    sentence = list(sentence)
-    terminals = [s for s in sentence if not is_annotated(s)]
-    variables = [s for s in sentence if is_annotated(s)]
-    variables.sort(key=level_of)
-    return tuple(terminals + variables)
-
-
 def ldf_child_order(grammar, rule, children):
     """Child visit order for lowest-annotation-first linearization:
     stable ascending by the annotation level of the rule's variable
@@ -225,14 +214,17 @@ def regularize(g, k=None):
     commutative semiring.
 
     Builds the annotated grammar at level k (default: the dimension
-    bound), then explores the stacks of pending variables arising from
-    lowest-annotation-first derivations: expanding the stack head by an
-    annotated rule emits the rule's terminals and pushes its variables,
-    lowest level first.  Stacks never need to exceed k*m + 1 entries
-    (m the annotated degree); longer successors belong to no completable
-    run and are dropped.  Distinct annotated rules can collapse to the
-    same stack rule, in which case their weights add — the semiring sum
-    over the pooled derivations.
+    bound), then closes the stacks of pending variables of
+    lowest-annotation-first derivations breadth-first from the start
+    variable.  A step table, filled in once per head at the head's first
+    expansion, holds each annotated rule's terminals, its variables in
+    ldf_child_order and its weight; a stack's successors are the
+    variables of each step of its head, followed by the rest of the
+    stack.  Stacks never need to exceed k*m + 1 entries (m the
+    annotated degree); longer successors belong to no completable run
+    and are dropped.  Distinct annotated rules can collapse to the same
+    stack rule, in which case their weights add — the semiring sum over
+    the pooled derivations.
 
     Raises ExpansiveGrammar when ``g`` is expansive: then no annotation
     level suffices.
@@ -248,38 +240,40 @@ def regularize(g, k=None):
     m = degree(annotated)
     cap = k * m + 1
 
+    steps = {}  # head -> (emitted, pushed, weight) of each of its rules
     start_stack = (annotated.start,)
-    order = []          # (lhs name, rhs tuple) in first-construction order
-    weights = {}        # (lhs name, rhs tuple) -> merged weight
+    name_of = {start_stack: _state_name(start_stack)}  # in discovery order
+    weights = {}  # (lhs name, rhs tuple) -> merged weight, first-construction order
     states = [start_stack]
-    seen = {start_stack}
-    queue = deque([start_stack])
-    while queue:
-        stack = queue.popleft()
-        lhs = _state_name(stack)
+    for stack in states:  # grows while it is walked: breadth-first
         head, rest = stack[0], stack[1:]
-        for ri in annotated.rules_for(head):
-            rule = annotated.rules[ri]
-            emitted = tuple(s for s in rule.rhs if annotated.is_terminal(s))
-            pushed = ldf_sort(s for s in rule.rhs if annotated.is_variable(s))
+        if head not in steps:
+            steps[head] = []
+            for ri in annotated.rules_for(head):
+                rule = annotated.rules[ri]
+                variables = annotated.rhs_variables(rule)
+                emitted = tuple(s for s in rule.rhs if annotated.is_terminal(s))
+                pushed = tuple(variables[i] for i in ldf_child_order(annotated, rule, variables))
+                steps[head].append((emitted, pushed, rule.weight))
+        lhs = name_of[stack]
+        for emitted, pushed, weight in steps[head]:
             successor = pushed + rest
             if len(successor) > cap:
                 continue
-            rhs = emitted + ((_state_name(successor),) if successor else ())
-            key = (lhs, rhs)
-            if key in weights:
-                weights[key] = g.semiring.add(weights[key], rule.weight)
+            if successor:
+                name = name_of.get(successor)
+                if name is None:
+                    name = name_of[successor] = _state_name(successor)
+                    states.append(successor)
+                rhs = emitted + (name,)
             else:
-                weights[key] = rule.weight
-                order.append(key)
-            if successor and successor not in seen:
-                seen.add(successor)
-                states.append(successor)
-                queue.append(successor)
+                rhs = emitted
+            key = (lhs, rhs)
+            weights[key] = g.semiring.add(weights[key], weight) if key in weights else weight
 
-    start_name = _state_name(start_stack)
-    rules = [Rule(lhs, rhs, weights[(lhs, rhs)]) for lhs, rhs in order]
-    names, rules = _trim([_state_name(s) for s in states], rules, start_name)
+    start_name = name_of[start_stack]
+    rules = [Rule(lhs, rhs, weight) for (lhs, rhs), weight in weights.items()]
+    names, rules = _trim(list(name_of.values()), rules, start_name)
     return Grammar(g.semiring, g.terminals, names, start_name, rules)
 
 

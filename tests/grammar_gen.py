@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from wcfg.grammar import Grammar, Rule
 from wcfg.semirings import NATURALS, RATIONALS, TROPICAL
-from wcfg import is_cycle_free, is_nonexpansive
+from wcfg import is_cycle_free, is_nonexpansive, parse_grammar
 
 
 def _random_structure(rng):
@@ -85,3 +85,12 @@ def random_nonexpansive_family(seed, count):
             }
         )
     return families
+
+
+def chain_grammar(k):
+    """X_i -> X_{i-1} X_{i-1} | a for i = k..1, and X0 -> a."""
+    lines = ["semiring N", "terminals a",
+             "variables " + " ".join(f"X{i}" for i in range(k, -1, -1)), f"start X{k}"]
+    for i in range(k, 0, -1):
+        lines += [f"rule X{i} -> X{i - 1} X{i - 1} : 1", f"rule X{i} -> a : 1"]
+    return parse_grammar("\n".join(lines + ["rule X0 -> a : 1"]) + "\n")

@@ -80,3 +80,21 @@ def test_series_runs_the_sweep_under_the_traced_name():
     below = [names[parent] for _, parent, name, *_ in trace.spans
              if name == "series.approximate" and parent >= 0]
     assert below == ["series.grammar_series"]
+
+
+def test_regularize_runs_its_stages_under_the_traced_names():
+    # regularize.closure_s is the self time of regularize.regularize, so
+    # annotation, classification and the degree must stay traced below it
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    trace.install({m: importlib.import_module(f"wcfg.{m}") for m in tracer.LAYERS})
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["regularize", fixture_path("binary_tail.wcfg")])
+    finally:
+        trace.uninstall()
+    assert code == 0 and "# states: 7\n" in out.getvalue()
+    names = {rec[0]: rec[2] for rec in trace.spans}
+    below = {name for _, parent, name, *_ in trace.spans
+             if parent >= 0 and names[parent] == "regularize.regularize"}
+    assert below >= {"regularize.annotate", "analysis.classify", "analysis.degree"}

@@ -243,6 +243,8 @@ def test_clear_denominators_fixes_content_and_sign():
                                 Polynomial.const(syms, Fraction(-2, 3))])
     cleared = clear_denominators(p)
     assert render_system_polynomial(cleared) == "2*X - 1"
+    # content 1 and the sign already fixed: nothing to rebuild
+    assert clear_denominators(cleared) is cleared
 
 
 def test_rational_reconstruction_finds_the_geometric_law():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -211,6 +212,21 @@ GROEBNER_STDOUT = {
 def test_groebner_subcommand_golden(stem, capsys):
     assert main(["groebner", fixture_path(f"{stem}.wcfg")]) == 0
     assert capsys.readouterr().out == "\n".join(GROEBNER_STDOUT[stem]) + "\n"
+
+
+def test_groebner_subcommand_computes_one_basis(monkeypatch, capsys):
+    module = importlib.import_module("wcfg.groebner")
+    calls = []
+    buchberger = module.buchberger
+
+    def counted(*args):
+        calls.append(args)
+        return buchberger(*args)
+
+    monkeypatch.setattr(module, "buchberger", counted)
+    assert main(["groebner", fixture_path("unary_double.wcfg")]) == 0
+    assert capsys.readouterr().out == "\n".join(GROEBNER_STDOUT["unary_double"]) + "\n"
+    assert len(calls) == 1
 
 
 def test_basis_is_invariant_under_generator_permutation_and_scaling():

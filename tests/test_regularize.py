@@ -1,5 +1,5 @@
 import importlib
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -27,18 +27,20 @@ from wcfg import (
     word_weight_map,
 )
 from wcfg.errors import BrokenDerivation
+from wcfg.grammar import Grammar, Rule
 from wcfg.regularize import (
     _annotated,
     _state_name,
+    _trim,
     is_annotated,
-    ldf_sort,
+    ldf_child_order,
     level_of,
     strip_annotation,
 )
 from wcfg.trees import ParseTree
 
 from fixtures import load_fixture
-from grammar_gen import random_nonexpansive_family
+from grammar_gen import chain_grammar, random_nonexpansive_family
 
 BT = load_fixture("binary_tail.wcfg")
 
@@ -142,12 +144,24 @@ def test_projection_is_a_bijection_on_complete_trees():
         assert tree_weight(ann, before) == tree_weight(BT, after)
 
 
-def test_ldf_sort_orders_terminals_first_then_levels():
-    assert ldf_sort(("X2.1.e", "a", "X2.0.e", "b")) == \
-        ("a", "b", "X2.0.e", "X2.1.e")
+def test_ldf_child_order_visits_lower_levels_first_stably():
+    g = parse_grammar(
+        "semiring N\nterminals a b\nvariables X2.0.e X2.1.e X9.1.e\nstart X2.1.e\n"
+        "rule X2.1.e -> X2.1.e a X2.0.e b : 1\n"
+        "rule X2.1.e -> X9.1.e X2.0.e X2.1.e X2.0.e : 1\n"
+        "rule X9.1.e -> X9.1.e X2.1.e : 1\n"
+        "rule X2.0.e -> a : 1\n")
+
+    def order(ri):
+        rule = g.rules[ri]
+        return ldf_child_order(g, rule, g.rhs_variables(rule))
+
+    # terminals take no position; the level-0 occurrence comes first
+    assert order(0) == [1, 0]
     # equal levels keep their relative order
-    assert ldf_sort(("X9.1.e", "X2.1.e")) == ("X9.1.e", "X2.1.e")
-    assert ldf_sort(()) == ()
+    assert order(1) == [1, 3, 0, 2]
+    assert order(2) == [0, 1]
+    assert order(3) == []
 
 
 def test_ldf_derivations_respect_the_width_bound():
@@ -245,3 +259,76 @@ def test_regularize_random_family_battery():
             assert word_weight_map(g, 6) == word_weight_map(ann, 6), key
             reg = regularize(g, k)
             assert grammar_series(reg, 5) == grammar_series(g, 5), key
+
+
+def reference_regularize(g, k):
+    """Reference: the per-state closure, which sorts each rule's
+    variables again at every state it expands."""
+    def ldf_sort(sentence):
+        sentence = list(sentence)
+        terminals = [s for s in sentence if not is_annotated(s)]
+        variables = [s for s in sentence if is_annotated(s)]
+        variables.sort(key=level_of)
+        return tuple(terminals + variables)
+
+    annotated = at_most_k_grammar(g, k)
+    cap = k * degree(annotated) + 1
+    start_stack = (annotated.start,)
+    order = []
+    weights = {}
+    states = [start_stack]
+    seen = {start_stack}
+    queue = deque([start_stack])
+    while queue:
+        stack = queue.popleft()
+        lhs = _state_name(stack)
+        head, rest = stack[0], stack[1:]
+        for ri in annotated.rules_for(head):
+            rule = annotated.rules[ri]
+            emitted = tuple(s for s in rule.rhs if annotated.is_terminal(s))
+            pushed = ldf_sort(s for s in rule.rhs if annotated.is_variable(s))
+            successor = pushed + rest
+            if len(successor) > cap:
+                continue
+            rhs = emitted + ((_state_name(successor),) if successor else ())
+            key = (lhs, rhs)
+            if key in weights:
+                weights[key] = g.semiring.add(weights[key], rule.weight)
+            else:
+                weights[key] = rule.weight
+                order.append(key)
+            if successor and successor not in seen:
+                seen.add(successor)
+                states.append(successor)
+                queue.append(successor)
+    start_name = _state_name(start_stack)
+    rules = [Rule(lhs, rhs, weights[(lhs, rhs)]) for lhs, rhs in order]
+    names, rules = _trim([_state_name(s) for s in states], rules, start_name)
+    return Grammar(g.semiring, g.terminals, names, start_name, rules)
+
+
+def test_step_table_closure_matches_the_per_state_reference():
+    cases = [(g, dimension_bound(g))
+             for fam in random_nonexpansive_family(20261019, 30) for g in fam.values()]
+    cases += [(BT, k) for k in (1, 2, 3)]
+    for g, k in cases:
+        assert render_grammar(regularize(g, k)) == render_grammar(reference_regularize(g, k))
+    # the chain family of the regularize benchmark, with its state counts
+    for k, states in zip(range(1, 6), (5, 14, 43, 145, 528)):
+        reg = regularize(chain_grammar(k), k)
+        assert len(reg.variables) == states
+        assert render_grammar(reg) == render_grammar(reference_regularize(chain_grammar(k), k))
+
+
+def test_each_annotated_rule_is_ordered_at_most_once(monkeypatch):
+    module = importlib.import_module("wcfg.regularize")
+    order = module.ldf_child_order
+    calls = Counter()
+
+    def counted(grammar, rule, children):
+        calls[id(rule)] += 1
+        return order(grammar, rule, children)
+
+    monkeypatch.setattr(module, "ldf_child_order", counted)
+    assert len(regularize(chain_grammar(5)).variables) == 528
+    assert calls and max(calls.values()) == 1

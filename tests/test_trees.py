@@ -27,7 +27,7 @@ from wcfg.trees import (
 from wcfg import regularize
 
 from fixtures import load_fixture
-from grammar_gen import random_nonexpansive_family
+from grammar_gen import chain_grammar, random_nonexpansive_family
 
 BT = load_fixture("binary_tail.wcfg")
 # rule indices in binary_tail: 0: X1 -> a X2 X2, 1: X2 -> b X2, 2: X2 -> a
@@ -116,15 +116,6 @@ def pass_until_stable_yield_lengths(grammar):
                 best[rule.lhs] = sum(lengths)
                 changed = True
     return best
-
-
-def chain_grammar(k):
-    """X_i -> X_{i-1} X_{i-1} | a for i = k..1, and X0 -> a."""
-    lines = ["semiring N", "terminals a",
-             "variables " + " ".join(f"X{i}" for i in range(k, -1, -1)), f"start X{k}"]
-    for i in range(k, 0, -1):
-        lines += [f"rule X{i} -> X{i - 1} X{i - 1} : 1", f"rule X{i} -> a : 1"]
-    return parse_grammar("\n".join(lines + ["rule X0 -> a : 1"]) + "\n")
 
 
 def test_min_yield_lengths_match_the_pass_until_stable_loop():
