@@ -45,8 +45,6 @@ from .groebner import (
     poly_reduce,
     render_system_polynomial,
     system_polynomials,
-    univar_build,
-    univar_coefficients,
     univar_gcd_squarefree,
 )
 from .polynomials import Polynomial, RationalFunction
@@ -122,8 +120,6 @@ __all__ = [
     "tree_dimension",
     "tree_weight",
     "tree_yield",
-    "univar_build",
-    "univar_coefficients",
     "univar_gcd_squarefree",
     "word_weight_map",
 ]

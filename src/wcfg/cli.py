@@ -32,7 +32,7 @@ from .errors import (
 from .grammar import load_grammar, render_grammar
 from .groebner import groebner_basis, render_system_polynomial, system_polynomials
 from .monomials import grade_key, render_monomial
-from .regularize import regularize
+from .regularize import level_of, regularize
 from .series import algebraic_system, grammar_series, render_series
 
 
@@ -76,7 +76,7 @@ def cmd_series(args):
 def cmd_regularize(args):
     g = load_grammar(args.file)
     out = regularize(g, args.k)
-    k = args.k if args.k is not None else dimension_bound(g)
+    k = level_of(out.start[1:-1])  # the start state <S.k.m>
     header = f"# k: {k}\n# states: {len(out.variables)}\n# rules: {len(out.rules)}\n"
     document = header + render_grammar(out)
     if args.out:

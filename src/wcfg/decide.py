@@ -23,7 +23,7 @@ from .errors import (
     NotCycleFree,
     NotDivisible,
     NoUnivariateElement,
-    WcfgError,
+    SymbolMismatch,
     WrongSemiring,
 )
 from .grammar import render_grammar
@@ -33,8 +33,6 @@ from .groebner import (
     groebner_basis,
     render_system_polynomial,
     system_polynomials,
-    univar_build,
-    univar_coefficients,
     univar_from_polynomial,
     univar_gcd_squarefree,
     univar_polynomial,
@@ -42,7 +40,7 @@ from .groebner import (
 from .linalg import nullspace
 from .modular import P, full_column_rank
 from .monomials import monomials_up_to_degree, mono_divides, mono_div
-from .polynomials import Polynomial, RationalFunction, poly_divexact, poly_gcd
+from .polynomials import Polynomial, coefficients_in_last, poly_divexact, poly_gcd
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
 
 
@@ -144,21 +142,19 @@ def discriminate_factor(candidates, system, max_order=256):
     system's start series, found by evaluating all candidates at ever
     longer series truncations and discarding any with a nonzero value.
 
+    Each candidate is a Polynomial over the system's terminals plus its
+    start variable, last, as univar_polynomial makes it; a candidate
+    over other symbols raises SymbolMismatch.
     Precondition (caller-guaranteed): exactly one candidate vanishes.
     Raises IterationCapExceeded past max_order — a violated
-    precondition, not a data condition.  A candidate whose coefficients
-    are not all terminal polynomials raises WcfgError.
+    precondition, not a data condition.
     """
-    name = system.variables[0]
+    syms = system.terminals + (system.variables[0],)
     coeffs = []
     for candidate in candidates:
-        if any(isinstance(c, RationalFunction) and not c.is_polynomial()
-               for c in candidate.terms.values()):
-            raise WcfgError(
-                f"candidate {render_system_polynomial(candidate)} has a"
-                " non-polynomial coefficient"
-            )
-        coeffs.append(univar_coefficients(candidate.cleared(), name))
+        if candidate.syms != syms:
+            raise SymbolMismatch(f"candidate over {candidate.syms}, system over {syms}")
+        coeffs.append(coefficients_in_last(candidate))
     if len(candidates) == 1:
         return 0
     alive = set(range(len(candidates)))
@@ -191,6 +187,12 @@ def decide_parikh(g, max_rounds=12):
     ratio that divides the certificate symbolically and survives
     discrimination proves holds; an empty reconstruction space proves no
     linear annihilator exists at all, so the verdict is fails.
+
+    Past the squarefree step the certificate, each candidate c*X - d
+    and each cofactor are one Polynomial over the terminals plus X,
+    last (univar_polynomial).  The witness reads c and d off the
+    winning factor, and q is that factor as a SystemPolynomial once
+    more, cleared by clear_denominators.
     """
     if g.semiring.keyword != "Q":
         raise WrongSemiring(
@@ -204,11 +206,12 @@ def decide_parikh(g, max_rounds=12):
     name = system.variables[0]
     basis_g = eliminate_to_univariate(system)
     certificate = clear_denominators(univar_gcd_squarefree(basis_g, name))
+    poly = univar_polynomial(certificate, name)
 
     if certificate.degree_in(name) == 1:
-        linear, order, reason = certificate, 0, "linear certificate"
+        linear, order, reason = poly, 0, "linear certificate"
     else:
-        linear, order, reason = _linear_factor(certificate, system, max_rounds)
+        linear, order, reason = _linear_factor(poly, system, max_rounds)
     if linear is None:
         return DecisionReport(
             verdict="fails",
@@ -218,30 +221,28 @@ def decide_parikh(g, max_rounds=12):
             discrimination_order=order,
             reason=reason,
         )
-    coeffs = univar_coefficients(linear, name)
-    c, d = coeffs[1], -coeffs[0]
+    minus_d, c = coefficients_in_last(linear)
     return DecisionReport(
         verdict="holds",
-        q=linear,
-        witness=grammar_from_linear(c, d, g.terminals, g.start),
+        q=clear_denominators(univar_from_polynomial(certificate, linear, name)),
+        witness=grammar_from_linear(c, -minus_d, g.terminals, g.start),
         basis_g=basis_g,
         discrimination_order=order,
         reason=reason,
     )
 
 
-def _linear_factor(certificate, system, max_rounds):
-    """(q, order, reason): a cleared linear factor q of the certificate
-    whose root is the start series, or None when the reconstruction
-    space at that order is empty, so that no linear annihilator exists;
-    reason names which of the two certified the verdict.
+def _linear_factor(poly, system, max_rounds):
+    """(c*X - d, order, reason): a linear factor of the certificate poly,
+    a Polynomial with X last, whose root is the start series; or None
+    when the reconstruction space at that order is empty, so that no
+    linear annihilator exists.  reason names which of the two certified
+    the verdict.
 
     Round i reconstructs the series as a ratio of polynomials of degree
     at most D, the largest degree among the certificate's coefficients,
     at order (2D + 1) * 2**i."""
-    name = system.variables[0]
-    D = max(c.total_degree() for c in univar_coefficients(certificate, name))
-    poly = univar_polynomial(certificate, name)
+    D = max(c.total_degree() for c in coefficients_in_last(poly))
     orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
     for order in orders:
         r1 = approximate(system, order)[0]
@@ -252,26 +253,26 @@ def _linear_factor(certificate, system, max_rounds):
             # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
             # exactly when c*X - d divides over Q(Sigma)
             g = poly_gcd(c, d)
-            primitive = _linear_system_poly(
-                certificate, name, poly_divexact(c, g), poly_divexact(d, g))
+            primitive = _linear(poly.syms, poly_divexact(c, g), poly_divexact(d, g))
             try:
-                quot = poly_divexact(poly, univar_polynomial(primitive, name))
+                cofactor = poly_divexact(poly, primitive)
             except NotDivisible:
                 continue
-            cofactor = clear_denominators(univar_from_polynomial(certificate, quot, name))
-            normalized = clear_denominators(_linear_system_poly(certificate, name, c, d))
-            if discriminate_factor([normalized, cofactor], system) == 0:
-                return normalized, order, f"reconstructed factor at order {order}"
+            factor = _linear(poly.syms, c, d)
+            if discriminate_factor([factor, cofactor], system) == 0:
+                return factor, order, f"reconstructed factor at order {order}"
     last = f"last order {orders[-1]}" if orders else "no order tried"
     raise IterationCapExceeded(
         f"no linear-factor certificate after {max_rounds} rounds ({last})"
     )
 
 
-def _linear_system_poly(template, name, c, d):
-    """The polynomial c*X - d as a SystemPolynomial shaped like the
-    template."""
-    return univar_build(template, [-d, c], name)
+def _linear(syms, c, d):
+    """c*X - d as a Polynomial over syms, with X the last symbol and c,
+    d over the others."""
+    terms = {m + (1,): v for m, v in c.terms.items()}
+    terms.update((m + (0,), -v) for m, v in d.terms.items())
+    return Polynomial(syms, terms, _clean=False)
 
 
 def render_report(report):

@@ -92,10 +92,6 @@ class IterationCapExceeded(WcfgError):
     iteration cap."""
 
 
-class NegativeExponent(WcfgError):
-    """A polynomial was raised to a negative power."""
-
-
 class SymbolMismatch(WcfgError):
     """Two polynomials over different symbol lists, two system
     polynomials over different terminals or grammar variables, or two

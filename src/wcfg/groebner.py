@@ -28,9 +28,9 @@ from .monomials import (
     mono_lcm,
     mono_mul,
 )
-from .polynomials import (Polynomial, RationalFunction, poly_cofactors, poly_divexact,
-                          poly_lcm, poly_primitive, poly_squarefree, rational_content,
-                          render_fraction, render_polynomial)
+from .polynomials import (Polynomial, RationalFunction, coefficients_in_last, poly_cofactors,
+                          poly_divexact, poly_lcm, poly_primitive, poly_squarefree,
+                          rational_content, render_fraction, render_polynomial)
 
 
 def lex_key(mono):
@@ -328,53 +328,30 @@ def groebner_basis(generators):
 
 # --- univariate polynomials in the start variable --------------------
 
-def univar_coefficients(p, name=None):
-    """Coefficient list of a polynomial in a single variable, constant
-    first, as stored (a view's are RationalFunctions).  The polynomial
-    must use no other variable."""
-    if name is None:
-        name = p.variables[0]
+def univar_polynomial(p, name):
+    """A p over Q[terminals] univariate in `name` (a view cleared first)
+    as one Polynomial in the terminals plus `name`, appended last so
+    that it is poly_gcd's main symbol."""
+    p = p.cleared()
     if not p.uses_only(name):
         raise ValueError(f"polynomial is not univariate in {name}")
     i = p.variables.index(name)
-    out = [Polynomial.zero(p.syms)] * (max(p.degree_in(name), 0) + 1)
-    for m, c in p.terms.items():
-        out[m[i]] = c
-    return out
-
-
-def univar_build(template, coeffs, name=None):
-    """Rebuild a univariate SystemPolynomial from a coefficient list,
-    using the variables of the template."""
-    if name is None:
-        name = template.variables[0]
-    i = template.variables.index(name)
-    n = len(template.variables)
-    terms = {tuple(d if j == i else 0 for j in range(n)): c for d, c in enumerate(coeffs)}
-    return SystemPolynomial(template.syms, template.variables, terms)
-
-
-def univar_polynomial(p, name):
-    """A univariate p over Q[terminals] (a view cleared first) as one
-    Polynomial in the terminals plus `name`, appended last so that it is
-    poly_gcd's main symbol."""
     terms = {}
-    for e, c in enumerate(univar_coefficients(p.cleared(), name)):
-        for m, v in c.terms.items():
-            terms[m + (e,)] = v
+    for m, c in p.terms.items():
+        for tm, v in c.terms.items():
+            terms[tm + (m[i],)] = v
     return Polynomial(p.syms + (name,), terms, _clean=False)
 
 
 def univar_from_polynomial(template, poly, name):
     """Inverse of univar_polynomial: the polynomial coefficients of the
-    last symbol's powers, as a SystemPolynomial shaped like the
-    template."""
-    buckets = {}
-    for m, c in poly.terms.items():
-        buckets.setdefault(m[-1], {})[m[:-1]] = c
-    coeffs = [Polynomial(template.syms, buckets.get(e, {}), _clean=False)
-              for e in range(max(buckets, default=0) + 1)]
-    return univar_build(template, coeffs, name)
+    last symbol's powers, as a SystemPolynomial in `name` shaped like
+    the template."""
+    i = template.variables.index(name)
+    n = len(template.variables)
+    terms = {tuple(e if j == i else 0 for j in range(n)): c
+             for e, c in enumerate(coefficients_in_last(poly))}
+    return SystemPolynomial(template.syms, template.variables, terms)
 
 
 def univar_gcd_squarefree(p, name=None):

@@ -23,7 +23,6 @@ from math import gcd as int_gcd, lcm as int_lcm
 
 from .errors import (
     DivisionByZeroPolynomial,
-    NegativeExponent,
     NotDivisible,
     SymbolMismatch,
     ZeroDenominator,
@@ -180,18 +179,6 @@ class Polynomial:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
-    def __pow__(self, e):
-        if e < 0:
-            raise NegativeExponent(f"negative power {e} of {render_polynomial(self)}")
-        result = Polynomial.const(self.syms, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.syms != self.syms:
@@ -320,6 +307,16 @@ def _coeff_list(p, v):
     for e, terms in buckets.items():
         cs[e] = Polynomial(p.syms, terms, _clean=False)
     return cs
+
+
+def coefficients_in_last(p):
+    """p as an ascending coefficient list in its last symbol, top zeros
+    trimmed; each entry is a Polynomial in the other symbols."""
+    buckets = {}
+    for m, c in p.terms.items():
+        buckets.setdefault(m[-1], {})[m[:-1]] = c
+    return [Polynomial(p.syms[:-1], buckets.get(e, {}), _clean=False)
+            for e in range(max(buckets, default=-1) + 1)]
 
 
 def _from_coeff_list(syms, v, cs):
@@ -526,9 +523,6 @@ class RationalFunction:
 
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
-
-    def is_polynomial(self):
-        return self.den.is_one()
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):

@@ -62,7 +62,7 @@ def _annotated(base, level, mode):
     return f"{base}.{level}.{mode}"
 
 
-def at_most_k_grammar(g, k):
+def at_most_k_grammar(g, k=None):
     """The annotated grammar whose variable ``X.d.e`` derives exactly the
     parse trees of X of dimension d, for 0 <= d <= k.
 
@@ -76,18 +76,21 @@ def at_most_k_grammar(g, k):
     ``X.e.e`` for e <= d at weight one.  Every other weight is copied
     from the originating rule.
 
-    Raises KTooSmall when k is below the grammar's dimension bound, so
-    callers normally pass dimension_bound(g).
+    k defaults to the grammar's dimension bound, and the annotated start
+    ``S.k.m`` records it (level_of).  Raises KTooSmall when k is below
+    that bound.
     """
     for name in g.variables + g.terminals:
         if not PLAIN_NAME.match(name):
             raise GrammarFormatError(
                 f"dimension annotation needs plain symbol names, got {name!r}"
             )
-    if k < 0:
+    if k is not None and k < 0:
         raise KTooSmall(f"annotation level k = {k} is negative")
     bound = dimension_bound(g)
-    if k < bound:
+    if k is None:
+        k = bound
+    elif k < bound:
         raise KTooSmall(f"k = {k} but the grammar's dimension bound is {bound}")
 
     def annotate_rhs(rule, levels_modes):
@@ -234,9 +237,8 @@ def regularize(g, k=None):
         raise ExpansiveGrammar(
             "grammar is expansive: parse-tree dimension is unbounded", witness
         )
-    if k is None:
-        k = dimension_bound(g)
     annotated = at_most_k_grammar(g, k)
+    k = level_of(annotated.start)
     m = degree(annotated)
     cap = k * m + 1
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import wcfg
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def documented_names():
@@ -25,3 +26,14 @@ def test_all_lists_exactly_the_public_names():
 
 def test_every_public_name_is_in_the_readme():
     assert sorted(set(wcfg.__all__) - documented_names()) == []
+
+
+def test_every_readme_code_name_is_in_the_package():
+    # the other direction: a README entry for a name the package no
+    # longer has is stale.  Code names are the snake_case and CamelCase
+    # words; single letters and plain words are prose.
+    source = " ".join(p.read_text(encoding="utf-8") for p in (ROOT / "src" / "wcfg").glob("*.py"))
+    words = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source))
+    code = {n for n in documented_names()
+            if "_" in n.strip("_") or re.fullmatch(r"[A-Z][a-z][A-Za-z0-9_]*", n)}
+    assert sorted(code - words) == []

@@ -1,9 +1,10 @@
+import importlib
 import subprocess
 import sys
 
 import pytest
 
-from wcfg import grammar_series, load_grammar, parse_grammar
+from wcfg import dimension_bound, grammar_series, load_grammar, parse_grammar
 from wcfg.cli import main
 
 from fixtures import GRAMMARS_DIR, fixture_path
@@ -92,6 +93,23 @@ def test_regularize_k_override(capsys):
                        "--k", "2")
     assert code == 0
     assert out.splitlines()[0] == "# k: 2"
+
+
+@pytest.mark.parametrize("extra", [(), ("--k", "2")])
+def test_regularize_computes_the_dimension_bound_once(extra, capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return dimension_bound(g)
+
+    # wcfg.regularize is also the name of a function, so look the modules up
+    for module in ("wcfg.cli", "wcfg.regularize"):
+        monkeypatch.setattr(importlib.import_module(module), "dimension_bound", counted)
+    code, out, _ = run(capsys, "regularize", fixture_path("binary_tail.wcfg"), *extra)
+    assert code == 0
+    assert out.splitlines()[0] == f"# k: {extra[1] if extra else 1}"
+    assert len(calls) == 1
 
 
 def test_regularize_expansive_exit_code(capsys):

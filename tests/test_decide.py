@@ -8,8 +8,7 @@ from wcfg import (
     IterationCapExceeded,
     NotCycleFree,
     Polynomial,
-    RationalFunction,
-    WcfgError,
+    SystemPolynomial,
     WrongSemiring,
     algebraic_system,
     clear_denominators,
@@ -23,12 +22,12 @@ from wcfg import (
     rational_reconstruct,
     render_report,
     render_system_polynomial,
-    univar_build,
-    univar_coefficients,
 )
 from wcfg.decide import _reconstruction_space
-from wcfg.errors import NoUnivariateElement
+from wcfg.errors import NoUnivariateElement, SymbolMismatch
+from wcfg.groebner import univar_polynomial
 from wcfg.modular import P, full_column_rank
+from wcfg.polynomials import coefficients_in_last
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
 
@@ -142,8 +141,8 @@ def test_certificate_annihilates_the_series(name):
     g = load_fixture(name)
     report = decide_parikh(g)
     series = grammar_series(g, 12)
-    coeffs = univar_coefficients(report.q)
-    assert all(isinstance(c, Polynomial) for c in coeffs)
+    assert all(isinstance(c, Polynomial) for c in report.q.terms.values())
+    coeffs = coefficients_in_last(univar_polynomial(report.q, g.start))
     assert eval_poly_at_series(coeffs, series, 12).is_zero()
 
 
@@ -225,22 +224,14 @@ def test_clear_denominators_golden():
         algebraic_system(load_fixture("catalan.wcfg")))
     cleared = clear_denominators(univar)
     assert render_system_polynomial(cleared) == "a*X^2 - X + a"
-    coeffs = univar_coefficients(cleared)
-    assert all(isinstance(c, Polynomial) for c in coeffs)
-
-
-def univar_template(syms):
-    from wcfg import SystemPolynomial
-
-    return SystemPolynomial(syms, ("X",), {(1,): Polynomial.const(syms, 1)})
+    assert all(isinstance(c, Polynomial) for c in cleared.terms.values())
 
 
 def test_clear_denominators_fixes_content_and_sign():
     syms = ("a",)
-    template = univar_template(syms)
     # -2/3 X + 1/3 picks up content 1/3 and a sign flip: canonical 2 X - 1
-    p = univar_build(template, [Polynomial.const(syms, Fraction(1, 3)),
-                                Polynomial.const(syms, Fraction(-2, 3))])
+    p = SystemPolynomial(syms, ("X",), {(0,): Polynomial.const(syms, Fraction(1, 3)),
+                                        (1,): Polynomial.const(syms, Fraction(-2, 3))})
     cleared = clear_denominators(p)
     assert render_system_polynomial(cleared) == "2*X - 1"
     # content 1 and the sign already fixed: nothing to rebuild
@@ -262,21 +253,22 @@ def test_rational_reconstruction_can_fail():
     assert rational_reconstruct(r1, 1, 5) is None
 
 
+def linear_in_x(n, syms=("a", "X")):
+    """(1 - n*a) X - 1 over syms, read as the symbols (a, X)."""
+    return Polynomial(syms, {(0, 1): 1, (1, 1): -n, (0, 0): -1})
+
+
 def test_discriminate_factor_prefers_the_annihilating_candidate():
     g = load_fixture("unary_double.wcfg")
     system = algebraic_system(g)
-    syms = ("a",)
-    template = univar_template(syms)
-    one = Polynomial.const(syms, 1)
-    a = Polynomial.variable(syms, "a")
-    good = univar_build(template, [-one, one - a - a])   # (1-2a) X - 1
-    bad = univar_build(template, [-one, one - a])        # (1-a) X - 1
+    good = linear_in_x(2)  # (1-2a) X - 1
+    bad = linear_in_x(1)   # (1-a) X - 1
     assert discriminate_factor([good], system) == 0
     assert discriminate_factor([bad, good], system) == 1
     with pytest.raises(IterationCapExceeded, match="eliminated"):
-        discriminate_factor([bad, bad.scale(one + one)], system)
+        discriminate_factor([bad, bad.scale(2)], system)
     with pytest.raises(IterationCapExceeded, match="ambiguous"):
-        discriminate_factor([good, good.scale(one + one)], system, max_order=8)
+        discriminate_factor([good, good.scale(2)], system, max_order=8)
 
 
 def test_reconstruction_succeeds_within_the_first_round():
@@ -299,17 +291,15 @@ def test_round_cap_names_the_last_order_tried(monkeypatch):
         decide_parikh(g, max_rounds=2)
 
 
-def test_discriminate_factor_rejects_a_non_polynomial_coefficient():
+def test_discriminate_factor_rejects_a_candidate_over_other_symbols():
     system = algebraic_system(load_fixture("unary_double.wcfg"))
-    syms = ("a",)
-    template = univar_template(syms)
-    one = Polynomial.const(syms, 1)
-    a = Polynomial.variable(syms, "a")
-    good = univar_build(template, [-one, one - a - a])   # (1-2a) X - 1
-    scaled = univar_build(template, [RationalFunction.const(syms, -1),
-                                     RationalFunction(one, a)])  # (1/a) X - 1
-    with pytest.raises(WcfgError, match="non-polynomial coefficient"):
-        discriminate_factor([good, scaled], system)
+    good = linear_in_x(2)
+    # the start variable X comes last, after exactly the terminals
+    for syms in (("X", "a"), ("a", "Y")):
+        with pytest.raises(SymbolMismatch, match="candidate over"):
+            discriminate_factor([good, linear_in_x(1, syms)], system)
+    with pytest.raises(SymbolMismatch, match="candidate over"):
+        discriminate_factor([Polynomial.variable(("a",), "a")], system)
 
 
 def test_two_univariate_basis_elements_raise(monkeypatch):
@@ -476,7 +466,7 @@ def check_pinned_document(monkeypatch, text, q, order, verdict="fails", reason=N
     assert (report.verdict, render_system_polynomial(report.q),
             report.discrimination_order) == (verdict, q, order)
     assert report.reason == (reason or f"empty space by rank mod {P} at order {order}")
-    coeffs = univar_coefficients(report.q)
+    coeffs = coefficients_in_last(univar_polynomial(report.q, g.start))
     assert eval_poly_at_series(coeffs, parikh_series_bruteforce(g, 5), 5).is_zero()
 
 

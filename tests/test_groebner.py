@@ -16,15 +16,14 @@ from wcfg import (
     poly_reduce,
     render_system_polynomial,
     system_polynomials,
-    univar_build,
-    univar_coefficients,
     univar_gcd_squarefree,
 )
 from wcfg.cli import main
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
-from wcfg.groebner import buchberger, lex_key, reduce_basis, s_polynomial
+from wcfg.groebner import (buchberger, lex_key, reduce_basis, s_polynomial,
+                           univar_from_polynomial, univar_polynomial)
 from wcfg.monomials import mono_divides
-from wcfg.polynomials import poly_gcd, rational_content
+from wcfg.polynomials import coefficients_in_last, poly_gcd, rational_content
 
 from fixtures import fixture_path, load_fixture
 from system_gen import random_system
@@ -341,26 +340,26 @@ def test_eliminate_to_univariate_requires_an_element():
         eliminate_to_univariate(system)
 
 
-def test_univar_coefficients_ascending():
+def test_univar_polynomial_round_trip():
+    # the catalan basis element X^2 - (1/a)*X + 1 is cleared on the way in
     g = load_fixture("catalan.wcfg")
     univar = eliminate_to_univariate(algebraic_system(g))
-    coeffs = univar_coefficients(univar)
-    assert len(coeffs) == 3
-    assert coeffs[0].is_one()
-    assert coeffs[1] == RationalFunction(Polynomial.const(SYMS, -1), A)
-    assert coeffs[2].is_one()
+    poly = univar_polynomial(univar, "X")
+    assert poly == Polynomial(("a", "X"), {(1, 2): 1, (0, 1): -1, (1, 0): 1})
+    rebuilt = univar_from_polynomial(univar, poly, "X")
+    assert render_system_polynomial(rebuilt) == "a*X^2 - X + a"
+    assert rebuilt.monic() == univar
 
 
-def test_univar_build_round_trip():
-    g = load_fixture("catalan.wcfg")
-    univar = eliminate_to_univariate(algebraic_system(g))
-    rebuilt = univar_build(univar, univar_coefficients(univar))
-    assert render_system_polynomial(rebuilt) == render_system_polynomial(univar)
+def test_coefficients_in_last_are_ascending_over_the_other_symbols():
+    poly = Polynomial(("a", "X"), {(1, 2): 3, (0, 0): -1})
+    assert coefficients_in_last(poly) == [
+        Polynomial.const(SYMS, -1), Polynomial.zero(SYMS), A.scale(3)]
+    assert coefficients_in_last(Polynomial.zero(("a", "X"))) == []
 
 
 def test_univar_gcd_squarefree():
-    template = SystemPolynomial(SYMS, ("X",), {(1,): ONE})
-    x_minus_a = univar_build(template, [-A, rf(1)])
+    x_minus_a = SystemPolynomial(SYMS, ("X",), {(0,): -A, (1,): ONE})
     square = x_minus_a * x_minus_a
     assert render_system_polynomial(univar_gcd_squarefree(square).monic()) == "X - a"
     # already squarefree inputs come back unchanged up to normalisation
@@ -368,7 +367,7 @@ def test_univar_gcd_squarefree():
     assert (render_system_polynomial(univar_gcd_squarefree(univar).monic())
             == "X^2 - (1/a)*X + 1")
     # X^2 (X - 1) loses the repeated factor
-    cubic = univar_build(template, [rf(0), rf(0), rf(-1), rf(1)])
+    cubic = SystemPolynomial(SYMS, ("X",), {(2,): rf(-1), (3,): rf(1)})
     assert render_system_polynomial(univar_gcd_squarefree(cubic).monic()) == "X^2 - X"
 
 
@@ -390,7 +389,7 @@ def test_squarefree_part_of_a_planted_square(c, u, v):
     v = Polynomial.const(SYMS2, v)
     assume(u != v)
     one = Polynomial.const(SYMS2, 1)
-    template = SystemPolynomial(SYMS2, ("X",), {(1,): one})
-    f, g = univar_build(template, [-u, one]), univar_build(template, [-v, one])
-    p = univar_build(template, [c]) * f * f * g
+    f = SystemPolynomial(SYMS2, ("X",), {(0,): -u, (1,): one})
+    g = SystemPolynomial(SYMS2, ("X",), {(0,): -v, (1,): one})
+    p = SystemPolynomial(SYMS2, ("X",), {(0,): c}) * f * f * g
     assert univar_gcd_squarefree(p).monic() == (f * g).monic()

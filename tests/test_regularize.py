@@ -95,6 +95,8 @@ def test_regular_state_names_round_trip():
 
 def test_annotated_binary_tail_golden():
     assert render_grammar(at_most_k_grammar(BT, 1)) == ANNOTATED_BT
+    # k defaults to the dimension bound, 1
+    assert render_grammar(at_most_k_grammar(BT)) == ANNOTATED_BT
 
 
 def test_annotation_rejects_k_below_the_dimension_bound():
