@@ -31,7 +31,6 @@ from .errors import (
     GrammarFormatError,
     IterationCapExceeded,
     KTooSmall,
-    NonConvergent,
     NonUnitDenominatorAtOrigin,
     NotCycleFree,
     WcfgError,
@@ -78,7 +77,6 @@ __all__ = [
     "GrammarFormatError",
     "IterationCapExceeded",
     "KTooSmall",
-    "NonConvergent",
     "NonUnitDenominatorAtOrigin",
     "NotCycleFree",
     "Polynomial",

@@ -52,10 +52,6 @@ class EnumerationBudgetExceeded(WcfgError):
     """Tree enumeration exceeded its node budget."""
 
 
-class NonConvergent(WcfgError):
-    """Truncated fixed-point iteration did not stabilise within the cap."""
-
-
 class NonRegularSystem(WcfgError):
     """An algebraic system has a monomial with more than one variable factor,
     so it does not describe a regular (one-state-at-a-time) grammar."""

@@ -305,20 +305,21 @@ def reduce_basis(basis):
     inter-reduced, sorted by ascending leading monomial.  Unique for the
     ideal and order.
 
-    One inter-reduction pass suffices.  In a minimal basis no leading
-    monomial divides another, so reducing an element by the others
-    keeps its lead and leaves a tail with no term in the leading-term
-    ideal; that polynomial made monic is the unique reduced basis
-    element with this lead (Cox, Little & O'Shea, ch. 2 section 7), and
-    the order of the minimal basis carries over."""
+    One ascending pass builds it.  An element whose lead an earlier kept
+    lead divides is dropped; a kept one is reduced by the reduced
+    elements below it only, since a lead dividing a term is at most that
+    term, so no higher lead acts on it.  The remainder keeps its lead
+    and has no other term in the leading-term ideal; made monic, it is
+    the unique reduced basis element with this lead (Cox, Little &
+    O'Shea, ch. 2 section 7).  The lowest element, univariate in the
+    start variable for a decide system, has nothing below it."""
     work = sorted((g.cleared() for g in basis if not g.is_zero()),
                   key=lambda g: lex_key(g.lead_monomial()))
-    minimal = []
+    reduced = []
     for g in work:
-        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
-            minimal.append(g)
-    return [poly_reduce(g, minimal[:i] + minimal[i + 1:]).monic()
-            for i, g in enumerate(minimal)]
+        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in reduced):
+            reduced.append(poly_reduce(g, reduced))
+    return [g.monic() for g in reduced]
 
 
 def groebner_basis(generators):

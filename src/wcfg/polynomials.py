@@ -70,13 +70,6 @@ class Polynomial:
         return cls(syms, {mono_one(len(syms)): c}, _clean=False)
 
     @classmethod
-    def monomial(cls, syms, mono, c=_ONE):
-        c = Fraction(c)
-        if c == 0:
-            return cls.zero(syms)
-        return cls(syms, {tuple(mono): c}, _clean=False)
-
-    @classmethod
     def variable(cls, syms, name):
         syms = tuple(syms)
         mono = [0] * len(syms)
@@ -208,9 +201,6 @@ class Polynomial:
             return self
         c = self.content()
         return Polynomial(self.syms, {m: v / c for m, v in self.terms.items()}, _clean=False)
-
-    def coefficient_of(self, mono):
-        return self.terms.get(tuple(mono), _ZERO)
 
     def __repr__(self):
         return f"Polynomial({render_polynomial(self)})"
@@ -505,10 +495,6 @@ class RationalFunction:
                 num, den = num.scale(_ONE / c), den.scale(_ONE / c)
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, None, _reduced=True)
 
     @classmethod
     def const(cls, syms, c):

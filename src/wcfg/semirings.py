@@ -51,18 +51,6 @@ class Semiring:
     def is_zero(self, value):
         return value == self.zero
 
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
-    def product(self, values):
-        acc = self.one
-        for v in values:
-            acc = self.mul(acc, v)
-        return acc
-
 
 def _parse_rational(text):
     try:

@@ -13,6 +13,7 @@ part of each variable depends only on lower degrees and, through its
 terminal-free terms, on an acyclic set of same-degree parts, so every
 degree is computed once, in the same way over every semiring, and a
 system keeps the degrees computed so far for its next, higher order.
+A cyclic system raises NotCycleFree.
 """
 
 from fractions import Fraction
@@ -21,9 +22,9 @@ from itertools import compress
 
 from .errors import (
     DegenerateLeadingTerm,
-    NonConvergent,
     NonRegularSystem,
     NonUnitDenominatorAtOrigin,
+    NotCycleFree,
     PrecisionExceeded,
     SymbolMismatch,
 )
@@ -276,12 +277,12 @@ def _dependency_order(edges):
             waiting[i] -= 1
             if not waiting[i]:
                 ready.append(i)
-    placed = set(order)
-    return order, [i for i in range(len(edges)) if i not in placed]
+    return order, [i for i, count in enumerate(waiting) if count]
 
 
 class _GradedSweep:
-    """The least solution of an algebraic system, one degree at a time.
+    """The least solution of a cycle-free algebraic system, one degree
+    at a time.
 
     Every variable, and every product of variables that a term needs,
     is a node holding graded slices: ``slices[n]`` maps the terminal
@@ -294,16 +295,15 @@ class _GradedSweep:
     terms and of products (a factor's degree-n slice times the other's
     nonzero constant term), form a graph that is acyclic for a
     cycle-free grammar, so every node is computed once per degree, in
-    dependency order.  Only a cyclic system leaves nodes on a cycle, or
-    behind one, and these are iterated within each degree until they
-    stabilise.  ``passes[n]`` is the number of passes the iteration at
-    degree n needed, so that a later call's cap applies to the degrees
-    an earlier call computed too.
+    dependency order.  A path of that graph from one variable to
+    another is a unit derivation, so a node the order cannot place lies
+    on a cycle X =>+ X or behind one, and NotCycleFree is raised with
+    the system variables left unplaced.
     """
 
-    __slots__ = ("sr", "syms", "values", "nodes", "order", "cycle", "passes")
+    __slots__ = ("sr", "syms", "values", "order")
 
-    def __init__(self, system, max_iters):
+    def __init__(self, system):
         sr = self.sr = system.semiring
         self.syms = system.terminals
         one = mono_one(len(self.syms))
@@ -314,10 +314,9 @@ class _GradedSweep:
              for weight, tmono, vmono in eq]
             for eq in system.equations
         ]
-        scalars, passes = _scalar_fixpoint(sr, equations, max_iters)
-        self.passes = [passes]
+        scalars = _scalar_fixpoint(sr, equations, system.variables)
         self.values = [[{one: x} if not sr.is_zero(x) else {}] for x in scalars]
-        nodes = self.nodes = list(self.values)
+        nodes = list(self.values)
         terms = [[] for _ in everywhere]
         computes = [partial(_rhs_slice, sr, t) for t in terms]
         edges = [set() for _ in everywhere]
@@ -349,43 +348,16 @@ class _GradedSweep:
                 if not dt:
                     edges[i].add(k)
         order, rest = _dependency_order(edges)
+        if rest:
+            raise NotCycleFree([system.variables[k] for k in rest if k in everywhere])
         self.order = [(nodes[k], computes[k]) for k in order]
-        self.cycle = [(nodes[k], computes[k]) for k in rest]
 
-    def extend(self, order, max_iters):
-        """Compute every degree up to ``order`` not computed yet."""
-        known = len(self.passes) - 1
-        if max(self.passes[:max(order, 0) + 1]) > max_iters:
-            raise NonConvergent(
-                "system did not stabilise within %d iterations" % max_iters)
-        for n in range(known + 1, order + 1):
-            try:
-                self.passes.append(self._degree(n, max_iters))
-            except NonConvergent:
-                for slices in self.nodes:
-                    del slices[n:]
-                raise
-
-    def _degree(self, n, max_iters):
-        """Compute degree n; returns the passes its iteration needed."""
-        for slices, compute in self.order:
-            slices.append(compute(n))
-        if not self.cycle:
-            return 0
-        for slices, _ in self.cycle:
-            slices.append({})
-        for passes in range(1, max_iters + 1):
-            changed = False
-            for slices, compute in self.cycle:
-                value = compute(n)
-                if value != slices[n]:
-                    slices[n] = value
-                    changed = True
-            if not changed:
-                return passes
-        raise NonConvergent(
-            "system did not stabilise at degree %d within %d iterations"
-            % (n, max_iters))
+    def extend(self, order):
+        """Compute every degree up to ``order`` not computed yet, each
+        once, in dependency order."""
+        for n in range(len(self.values[0]), order + 1):
+            for slices, compute in self.order:
+                slices.append(compute(n))
 
     def series(self, order):
         """One series per variable, truncated at ``order``."""
@@ -414,12 +386,19 @@ def _rhs_slice(sr, terms, n):
     return {m: w for m, w in out.items() if not sr.is_zero(w)}
 
 
-def _scalar_fixpoint(sr, equations, max_iters):
-    """(constant terms, passes): Kleene iteration of the terminal-free
-    terms over scalars, from zero until it stabilises.  ``equations``
-    lists (weight, terminal monomial, factor variables) per variable."""
+def _scalar_fixpoint(sr, equations, variables):
+    """The constant terms: Kleene iteration of the terminal-free terms
+    over scalars, from zero.  ``equations`` lists (weight, terminal
+    monomial, factor variables) per variable of ``variables``.
+
+    Pass p yields the weight of the empty-yield trees of height at most
+    p.  In a cycle-free system every such tree has height at most |V|,
+    since a variable repeated on one path would be a unit cycle
+    X =>+ X; so pass |V| + 1 repeats pass |V|.  A system still changing
+    at that pass is cyclic, and NotCycleFree is raised with the
+    variables whose constant term changed last."""
     current = [sr.zero] * len(equations)
-    for passes in range(1, max_iters + 1):
+    for _ in range(len(equations) + 1):
         nxt = []
         for eq in equations:
             acc = sr.zero
@@ -430,36 +409,32 @@ def _scalar_fixpoint(sr, equations, max_iters):
                     acc = sr.add(acc, weight)
             nxt.append(acc)
         if nxt == current:
-            return current, passes
-        current = nxt
-    raise NonConvergent(
-        "system did not stabilise at degree 0 within %d iterations" % max_iters)
+            return current
+        current, last = nxt, current
+    raise NotCycleFree([v for v, a, b in zip(variables, current, last) if a != b])
 
 
-def approximate(system, order, max_iters=1000):
-    """The system's least solution truncated at total degree ``order``,
-    one series per system variable (same order as ``system.variables``).
+def approximate(system, order):
+    """The least solution of a cycle-free system truncated at total
+    degree ``order``, one series per system variable (same order as
+    ``system.variables``).
 
     Computed by the graded sweep of _GradedSweep, whose state the system
     keeps: a later call extends the degrees computed so far instead of
-    starting again, and a lower order truncates them.  ``max_iters``
-    bounds every fixed-point iteration the sweep makes: the one over
-    scalars at degree 0 and, on a cyclic system, the one at each degree
-    over the variables on or behind a same-degree cycle.  NonConvergent
-    is raised when one of them needs more passes, which cannot happen
-    for a cycle-free grammar with a cap of |V| + 1 or more.
+    starting again, and a lower order truncates them.  A cyclic system,
+    whose weights would be infinite sums, raises NotCycleFree.
     """
     sweep = system._sweep
     if sweep is None:
-        sweep = system._sweep = _GradedSweep(system, max_iters)
-    sweep.extend(order, max_iters)
+        sweep = system._sweep = _GradedSweep(system)
+    sweep.extend(order)
     return sweep.series(order)
 
 
-def grammar_series(grammar, order, max_iters=1000):
+def grammar_series(grammar, order):
     """The commutative word-weight series of the start variable."""
     system = algebraic_system(grammar)
-    return approximate(system, order, max_iters=max_iters)[0]
+    return approximate(system, order)[0]
 
 
 # --- bridges between polynomials, rational functions and series ----------

@@ -218,20 +218,15 @@ def min_yield_lengths(grammar):
     return best
 
 
-def enumerate_trees(grammar, var=None, max_depth=None, max_terminals=None,
-                    max_nodes=500000):
-    """All parse trees rooted at `var` (default: the start variable),
-    filtered by depth and/or number of terminal leaves.
+def enumerate_trees(grammar, max_terminals, var=None, max_nodes=500000):
+    """All parse trees rooted at `var` (default: the start variable)
+    with at most `max_terminals` terminal leaves.
 
-    At least one of the two bounds must be given.  With only
-    `max_terminals`, the enumeration is exhaustive for that leaf budget
-    and requires a cycle-free grammar (a cycle is detected and raised
-    as NotCycleFree); with `max_depth` it terminates on any grammar.
+    The enumeration is exhaustive for that leaf budget and requires a
+    cycle-free grammar: a cycle is detected and raised as NotCycleFree.
     Raises EnumerationBudgetExceeded after materializing `max_nodes`
     trees.
     """
-    if max_depth is None and max_terminals is None:
-        raise ValueError("enumerate_trees needs max_depth or max_terminals")
     if var is None:
         var = grammar.start
     shortest = min_yield_lengths(grammar)
@@ -239,44 +234,34 @@ def enumerate_trees(grammar, var=None, max_depth=None, max_terminals=None,
     memo = {}
     on_stack = []
 
-    def build(symbol, depth, limit):
+    def build(symbol, limit):
         """Returns (tree, terminal leaf count) pairs."""
-        if depth is not None and depth == 0:
-            return []
-        key = (symbol, depth, limit)
+        key = (symbol, limit)
         got = memo.get(key)
         if got is not None:
             return got
-        if depth is None:
-            if key in on_stack:
-                chain = [s for s, _, _ in on_stack[on_stack.index(key):]]
-                raise NotCycleFree(tuple(chain) + (symbol,))
-            on_stack.append(key)
-        down = None if depth is None else depth - 1
+        if key in on_stack:
+            chain = [s for s, _ in on_stack[on_stack.index(key):]]
+            raise NotCycleFree(tuple(chain) + (symbol,))
+        on_stack.append(key)
         out = []
         for ri in grammar.rules_for(symbol):
             rule = grammar.rules[ri]
             nterm = sum(1 for s in rule.rhs if grammar.is_terminal(s))
             kids = [s for s in rule.rhs if grammar.is_variable(s)]
-            if limit >= 0:
-                if any(shortest[kid] is None for kid in kids):
-                    continue
-                floor = nterm + sum(shortest[kid] for kid in kids)
-                if floor > limit:
-                    continue
-                # reserve each later child's minimum before recursing
-                suffix = [0] * (len(kids) + 1)
-                for i in range(len(kids) - 1, -1, -1):
-                    suffix[i] = suffix[i + 1] + shortest[kids[i]]
+            if any(shortest[kid] is None for kid in kids):
+                continue
+            # reserve each later child's minimum before recursing
+            suffix = [0] * (len(kids) + 1)
+            for i in range(len(kids) - 1, -1, -1):
+                suffix[i] = suffix[i + 1] + shortest[kids[i]]
+            if nterm + suffix[0] > limit:
+                continue
             combos = [((), nterm)]
             for i, kid in enumerate(kids):
                 nxt = []
                 for chosen, used in combos:
-                    if limit >= 0:
-                        sub_limit = limit - used - suffix[i + 1]
-                    else:
-                        sub_limit = -1
-                    for sub, sub_used in build(kid, down, sub_limit):
+                    for sub, sub_used in build(kid, limit - used - suffix[i + 1]):
                         nxt.append((chosen + (sub,), used + sub_used))
                 combos = nxt
                 if not combos:
@@ -287,13 +272,11 @@ def enumerate_trees(grammar, var=None, max_depth=None, max_terminals=None,
                     raise EnumerationBudgetExceeded(
                         "tree enumeration budget exhausted")
                 out.append((ParseTree(ri, chosen), used))
-        if depth is None:
-            on_stack.pop()
+        on_stack.pop()
         memo[key] = out
         return out
 
-    big = max_terminals if max_terminals is not None else -1
-    return [t for t, _ in build(var, max_depth, big)]
+    return [t for t, _ in build(var, max_terminals)]
 
 
 def parikh_series_bruteforce(grammar, order, max_nodes=500000):

@@ -1,6 +1,7 @@
 """The package namespace, its __all__ and the README agree on the public
 API."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -37,3 +38,11 @@ def test_every_readme_code_name_is_in_the_package():
     code = {n for n in documented_names()
             if "_" in n.strip("_") or re.fullmatch(r"[A-Z][a-z][A-Za-z0-9_]*", n)}
     assert sorted(code - words) == []
+
+
+def test_the_package_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant that guards a
+    # result must raise a typed WcfgError instead
+    for path in sorted((ROOT / "src" / "wcfg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name

@@ -279,6 +279,17 @@ def test_decide_is_unchanged_under_python_optimize(name):
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
 
 
+def test_check_is_unchanged_under_python_optimize():
+    # decide on the same document is covered by the test above
+    runs = [subprocess.run([sys.executable, *flags, "-m", "wcfg", "check",
+                            fixture_path("catalan_cancellation.wcfg")],
+                           capture_output=True, text=True)
+            for flags in ((), ("-O",))]
+    assert runs[0].returncode == 0
+    assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == \
+        (runs[0].returncode, runs[0].stdout, runs[0].stderr)
+
+
 def test_successive_calls_behave_like_fresh_processes(capsys):
     # the parser is built once per process; no call may leak an option
     # value or an error into the next

@@ -13,6 +13,7 @@ from wcfg import (
     clear_denominators,
     eliminate_to_univariate,
     groebner_basis,
+    load_grammar,
     poly_reduce,
     render_system_polynomial,
     system_polynomials,
@@ -25,7 +26,7 @@ from wcfg.groebner import (buchberger, lex_key, reduce_basis, s_polynomial,
 from wcfg.monomials import mono_divides
 from wcfg.polynomials import coefficients_in_last, poly_gcd, rational_content
 
-from fixtures import fixture_path, load_fixture
+from fixtures import GRAMMARS_DIR, fixture_path, load_fixture
 from system_gen import random_system
 
 SYMS = ("a",)
@@ -271,6 +272,30 @@ def test_reduce_basis_output_is_reduced():
 def test_reduce_basis_is_idempotent():
     for basis in random_reduced_bases(25):
         assert reduce_basis(basis) == basis
+
+
+def reduce_by_all_others(basis):
+    """Reference inter-reduction: keep the elements whose lead no lower
+    kept lead divides, then reduce each by all the others."""
+    work = sorted((g.cleared() for g in basis if not g.is_zero()),
+                  key=lambda g: lex_key(g.lead_monomial()))
+    minimal = []
+    for g in work:
+        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in minimal):
+            minimal.append(g)
+    return [poly_reduce(g, minimal[:i] + minimal[i + 1:]).monic()
+            for i, g in enumerate(minimal)]
+
+
+def test_reduce_basis_agrees_with_reducing_by_all_others():
+    rng = random.Random(20260822)  # the systems of the tests above
+    systems = [random_system(rng) for _ in range(25)]
+    systems += [system_polynomials(algebraic_system(load_grammar(path)))
+                for path in sorted(GRAMMARS_DIR.glob("*.wcfg"))
+                if load_grammar(path).semiring.keyword == "Q"]
+    for gens in systems:
+        basis = buchberger(gens)
+        assert reduce_basis(basis) == reduce_by_all_others(basis)
 
 
 def test_normal_forms_are_canonical():

@@ -33,8 +33,6 @@ def test_constructors():
     assert zero.is_zero()
     assert one.is_one()
     assert Polynomial.const(SYMS, 0).is_zero()
-    assert a.coefficient_of((1, 0)) == 1
-    assert Polynomial.monomial(SYMS, (2, 1), 3).coefficient_of((2, 1)) == 3
 
 
 def test_arithmetic_small_identity():
@@ -253,6 +251,5 @@ def test_ratfun_zero_denominator_rejected():
 
 
 def test_render_ratfun_forms():
-    assert render_ratfun(RationalFunction.from_poly(a + one)) == "1 + a"
     assert render_ratfun(RationalFunction(a, b)) == "(a/b)"
     assert render_ratfun(RationalFunction(one, one - b)) == "(1)/(1 - b)"

@@ -59,14 +59,6 @@ def test_equality_is_by_keyword():
     assert len({RATIONALS, NATURALS, TROPICAL}) == 3
 
 
-def test_sum_and_product_fold():
-    assert RATIONALS.sum([Fraction(1, 2), Fraction(1, 3)]) == Fraction(5, 6)
-    assert RATIONALS.product([]) == Fraction(1)
-    assert TROPICAL.sum([3, 1, 2]) == 1
-    assert TROPICAL.product([3, 1, 2]) == 6
-    assert TROPICAL.sum([]) == INF
-
-
 _rationals = st.builds(
     Fraction,
     st.integers(min_value=-50, max_value=50),

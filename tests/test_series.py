@@ -4,7 +4,7 @@ import pytest
 
 from wcfg import (
     DegenerateLeadingTerm,
-    NonConvergent,
+    NotCycleFree,
     NonUnitDenominatorAtOrigin,
     Polynomial,
     RationalFunction,
@@ -23,6 +23,7 @@ from wcfg.grammar import Grammar
 from wcfg.semirings import NATURALS, RATIONALS, TROPICAL
 from wcfg.series import (
     AlgebraicSystem,
+    _scalar_fixpoint,
     approximate,
     eval_poly_at_series,
     poly_to_series,
@@ -179,65 +180,43 @@ def test_tropical_series_takes_minima():
     assert all(w != TROPICAL.zero for w in s.coeffs.values())
 
 
-def test_approximate_diverges_on_cycles():
-    g = parse_grammar(
-        "semiring Q\nterminals a\nvariables X\nstart X\n"
-        "rule X -> X : 1/2\nrule X -> a : 1\n"
-    )
-    with pytest.raises(NonConvergent):
-        approximate(algebraic_system(g), 3, max_iters=50)
-
-
-def test_a_diverging_degree_leaves_the_lower_ones_usable():
-    g = parse_grammar(
-        "semiring Q\nterminals a\nvariables X\nstart X\n"
-        "rule X -> X : 1/2\nrule X -> a : 1\n"
-    )
-    system = algebraic_system(g)
-    with pytest.raises(NonConvergent):
-        approximate(system, 3, max_iters=50)
-    assert approximate(system, 0, max_iters=50)[0] == S(0, {})
-    with pytest.raises(NonConvergent):
-        approximate(system, 1, max_iters=50)
-
-
-# a cycle of weight 0 converges in the tropical semiring; the pinned
-# series is the limit of Kleene iteration on the whole system
-TROPICAL_SELF_LOOP = (
+@pytest.mark.parametrize("text", [
+    # a tropical cycle of weight 0, whose Kleene limit would exist
     "semiring tropical\nterminals a\nvariables X\nstart X\n"
-    "rule X -> X : 0\nrule X -> a : 1\n"
-)
+    "rule X -> X : 0\nrule X -> a : 1\n",
+    "semiring Q\nterminals a\nvariables X\nstart X\n"
+    "rule X -> X : 1/2\nrule X -> a : 1\n",
+    # diverges at degree 0: the constant term counts 1, 2, 3, ...
+    "semiring Q\nterminals a\nvariables X\nstart X\n"
+    "rule X -> X : 1\nrule X -> eps : 1\n",
+], ids=["tropical-weight-0-loop", "loop", "constant-term-diverges"])
+def test_approximate_rejects_cyclic_systems(text):
+    with pytest.raises(NotCycleFree) as raised:
+        approximate(algebraic_system(parse_grammar(text)), 3)
+    assert raised.value.cycle == ("X",)
 
 
-def test_tropical_cycle_of_weight_zero_converges():
-    system = algebraic_system(parse_grammar(TROPICAL_SELF_LOOP))
-    for order, rendered in ((0, "inf"), (1, "1*a"), (3, "1*a"), (6, "1*a")):
-        (x,) = approximate(system, order, max_iters=50)
-        assert render_series(x) == rendered
+def test_a_unit_chain_needs_every_scalar_pass():
+    # X1 -> X2 -> ... -> X6 -> eps: the empty-yield tree has height 6 =
+    # |V|, so the degree-0 iteration repeats itself only at pass |V| + 1
+    n = 6
+    rules = "".join(f"rule X{i} -> X{i + 1} : 1\n" for i in range(1, n))
+    variables = " ".join(f"X{i}" for i in range(1, n + 1))
+    g = parse_grammar(f"semiring Q\nterminals a\nvariables {variables}\nstart X1\n"
+                      f"{rules}rule X{n} -> eps : 1\n")
+    assert grammar_series(g, 3) == S(3, {(0,): Fraction(1)})
 
+    class CountedPasses(list):
+        passes = 0
 
-def test_the_iteration_cap_holds_for_degrees_computed_earlier():
-    # degree 1 of the self-loop takes two passes to stabilise
-    system = algebraic_system(parse_grammar(TROPICAL_SELF_LOOP))
-    with pytest.raises(NonConvergent):
-        approximate(algebraic_system(parse_grammar(TROPICAL_SELF_LOOP)), 3, max_iters=1)
-    approximate(system, 3)
-    with pytest.raises(NonConvergent):
-        approximate(system, 3, max_iters=1)
-    assert approximate(system, 0, max_iters=1)[0].is_zero()
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
 
-
-def test_a_capped_degree_leaves_the_state_as_a_fresh_one():
-    # Y's degree-1 slice is computed before X's cycle hits the cap there
-    text = (
-        "semiring tropical\nterminals a b\nvariables X Y\nstart X\n"
-        "rule X -> X : 0\nrule X -> Y : 0\n"
-        "rule Y -> a : 2\nrule Y -> b Y : 1\n"
-    )
-    system = algebraic_system(parse_grammar(text))
-    with pytest.raises(NonConvergent):
-        approximate(system, 3, max_iters=1)
-    assert approximate(system, 3) == approximate(algebraic_system(parse_grammar(text)), 3)
+    equations = CountedPasses([[(Fraction(1), (0,), [i + 1])] for i in range(n - 1)])
+    equations.append([(Fraction(1), (0,), [])])
+    assert _scalar_fixpoint(RATIONALS, equations, g.variables) == [1] * n
+    assert equations.passes == n + 1  # so a cap of |V| passes would fail it
 
 
 # hand-made cycle-free shapes for the same-degree order of the sweep:

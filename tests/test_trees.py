@@ -139,19 +139,9 @@ def test_enumerate_trees_by_terminal_budget():
     assert all(len(tree_yield(BT, t)) <= 5 for t in trees)
 
 
-def test_enumerate_trees_by_depth():
-    trees = enumerate_trees(BT, max_depth=2)
-    assert trees == [SMALL]
-
-
 def test_enumerate_trees_for_other_variables():
     trees = enumerate_trees(BT, var="X2", max_terminals=3)
     assert len(trees) == 3
-
-
-def test_enumerate_trees_needs_some_bound():
-    with pytest.raises(ValueError, match="max_depth or max_terminals"):
-        enumerate_trees(BT)
 
 
 def test_terminal_budget_enumeration_detects_cycles():
@@ -161,8 +151,6 @@ def test_terminal_budget_enumeration_detects_cycles():
     )
     with pytest.raises(NotCycleFree):
         enumerate_trees(g, max_terminals=3)
-    # a depth bound still terminates on the same grammar
-    assert len(enumerate_trees(g, max_depth=3)) == 3
 
 
 def test_enumeration_budget_guard():
