@@ -28,11 +28,20 @@ class WrongSemiring(WcfgError):
 
 
 class NotCycleFree(WcfgError):
-    """The grammar admits a derivation X =>+ X, which the operation forbids."""
+    """The grammar admits a derivation X =>+ X, which the operation forbids.
 
-    def __init__(self, cycle):
-        super().__init__("grammar is not cycle-free: " + " -> ".join(cycle))
-        self.cycle = tuple(cycle)
+    ``cycle`` is a replayable path such as A -> B -> A, or, with
+    ``path=False``, the variables found on or behind a cycle, which are
+    rendered as a set."""
+
+    def __init__(self, cycle, path=True):
+        cycle = tuple(cycle)
+        if path:
+            detail = " -> ".join(cycle)
+        else:
+            detail = "variables on or behind a cycle: " + ", ".join(cycle)
+        super().__init__("grammar is not cycle-free: " + detail)
+        self.cycle = cycle
 
 
 class ExpansiveGrammar(WcfgError):

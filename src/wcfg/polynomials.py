@@ -2,7 +2,10 @@
 reduced view.
 
 Polynomial represents an element of Q[s1, ..., sn] as {exponent tuple:
-Fraction}, with ring arithmetic, exact division and gcds.
+Fraction}, with ring arithmetic, exact division and gcds.  A gcd is
+first the heuristic gcd GCDHEU on integer coefficients, which is checked
+by trial division, with a primitive pseudo-remainder sequence as the
+fallback when the heuristic gives up (see _gcd_primitive).
 RationalFunction is a reduced fraction of two Polynomials with no
 arithmetic of its own: it is the canonical form of a monic Groebner
 basis coefficient over Q(s1, ..., sn), and the input of series_expand.
@@ -19,7 +22,9 @@ Canonical forms (load-bearing for printing and witnesses):
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm as int_lcm
+from operator import truediv
 
 from .errors import (
     DivisionByZeroPolynomial,
@@ -32,7 +37,6 @@ from .monomials import (
     grade_key,
     mono_degree,
     mono_div,
-    mono_divides,
     mono_gcd,
     mono_is_one,
     mono_mul,
@@ -246,25 +250,45 @@ def poly_divexact(p, q):
     if q.is_constant():
         c = q.constant_term()
         return p.scale(_ONE / c)
+    quot = _long_division(p.terms, q.terms, truediv)
+    if quot is None:
+        raise NotDivisible(f"{render_polynomial(p)} not divisible by {render_polynomial(q)}")
+    return Polynomial(p.syms, quot, _clean=False)
+
+
+def _long_division(f, h, divide):
+    """The quotient of the term dicts f / h, or None on a remainder.
+    divide(c, lead) is the quotient of two coefficients, None when it is
+    not in the coefficient ring.  The remainder's terms wait in a heap
+    keyed by the canonical order, so each step takes the highest one
+    without a scan."""
+    hm = max(h, key=grade_key)
+    hc = h[hm]
+    rest = [(m, c) for m, c in h.items() if m != hm]
     quot = {}
-    rem = dict(p.terms)
-    qm, qc = q.lead_term()
-    while rem:
-        m = max(rem, key=grade_key)
-        c = rem[m]
-        if not mono_divides(qm, m):
-            raise NotDivisible(f"{render_polynomial(p)} not divisible by {render_polynomial(q)}")
-        fm = mono_div(m, qm)
-        fc = c / qc
-        quot[fm] = quot.get(fm, _ZERO) + fc
-        for m2, c2 in q.terms.items():
+    rem = dict(f)
+    heap = [(-mono_degree(m), m) for m in rem]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = rem.pop(m, 0)
+        if not c:
+            continue  # cancelled after it was pushed
+        fm = mono_div(m, hm)
+        fc = divide(c, hc)
+        if fc is None or min(fm) < 0:
+            return None
+        quot[fm] = fc
+        for m2, c2 in rest:
             mm = mono_mul(fm, m2)
-            s = rem.get(mm, _ZERO) - fc * c2
+            s = rem.get(mm, 0) - fc * c2
             if s:
+                if mm not in rem:
+                    heappush(heap, (-mono_degree(mm), mm))
                 rem[mm] = s
-            elif mm in rem:
-                del rem[mm]
-    return Polynomial(p.syms, quot)
+            else:
+                rem.pop(mm, None)
+    return quot
 
 
 def poly_divides(q, p):
@@ -379,14 +403,144 @@ def poly_gcd(p, q):
     return g
 
 
+# GCDHEU gives up after this many evaluation points at one level, each
+# the last one times _HEU_GROWTH.  SymPy's dmp_zz_heu_gcd makes the same
+# six tries, growing xi by this factor times its fourth root.
+_HEU_TRIES = 6
+_HEU_GROWTH = (73794, 27011)
+
+
 def _gcd_primitive(p, q):
-    """Primitive pseudo-remainder sequence in the main symbol, the highest
-    index occurring in p or q, with the gcd of the contents multiplied
-    back at the end."""
+    """gcd of p and q, which share no monomial factor, by GCDHEU (Char,
+    Geddes and Gonnet 1989) on their integer multiples, falling back to
+    the primitive PRS of _gcd_prs when the heuristic gives up.
+
+    Why an accepted answer is the gcd: at each level _heu_gcd evaluates
+    the main symbol of the primitive inputs f and g at an integer
+    xi >= 2*min(|f|, |g|) + 2, where |.| is the largest absolute
+    coefficient, takes the exact gcd of the images one level down,
+    rebuilds h from it by symmetric xi-adic expansion, and keeps h's
+    primitive part only if it divides both f and g (a constant needs no
+    trial division).  A primitive h that divides both is a common
+    divisor; with xi above that bound it is also a multiple of
+    gcd(f, g), so it is the gcd (CGG 1989, Theorem 1; the bound is Liao
+    and Fateman, ISSAC 1995).  Trial division makes "common divisor" a
+    check, so a wrong answer is impossible; only the try budget is
+    heuristic: _HEU_TRIES points per level, each _HEU_GROWTH times the
+    last, then the PRS."""
     if p.is_constant() or q.is_constant():
         return Polynomial.const(p.syms, 1)
     if p == q:
         return p.primitive_part()
+    h = _heu_gcd(_cleared(p), _cleared(q))
+    if h is None:
+        return _gcd_prs(p, q)
+    c = _int_content(h)
+    if h[min(h, key=grade_key)] < 0:
+        c = -c
+    return Polynomial(p.syms, {m: Fraction(a // c) for m, a in h.items()}, _clean=False)
+
+
+def _cleared(p):
+    """p times the lcm of its denominators, as {monomial: int}."""
+    den = 1
+    for c in p.terms.values():
+        den = int_lcm(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
+def _int_content(f):
+    c = 0
+    for a in f.values():
+        c = int_gcd(c, a)
+        if c == 1:
+            break
+    return c
+
+
+def _heu_gcd(f, g):
+    """GCDHEU on nonzero integer polynomials {monomial: int}: their gcd
+    up to sign, or None once _HEU_TRIES evaluation points have failed at
+    some level.
+
+    The gcd of the integer contents is split off at every level and
+    multiplied back onto the answer: the level above rebuilds its gcd
+    from this image, and without the content it would rebuild a proper
+    divisor of the gcd, which trial division cannot catch."""
+    cf, cg = _int_content(f), _int_content(g)
+    if cf != 1:
+        f = {m: a // cf for m, a in f.items()}
+    if cg != 1:
+        g = {m: a // cg for m, a in g.items()}
+    c = int_gcd(cf, cg)
+    if _is_int_constant(f) or _is_int_constant(g):  # the constant +-1
+        return {mono_one(len(next(iter(f)))): c}
+    v = max(i for m in (*f, *g) for i, e in enumerate(m) if e)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        ff, gg = _evaluate(f, v, xi), _evaluate(g, v, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            h = _interpolate(h, v, xi)
+            ch = _int_content(h)
+            if ch != 1:
+                h = {m: a // ch for m, a in h.items()}
+            if _is_int_constant(h) or _int_divides(h, f) and _int_divides(h, g):
+                return {m: a * c for m, a in h.items()} if c != 1 else h
+        xi = xi * _HEU_GROWTH[0] // _HEU_GROWTH[1]
+    return None
+
+
+def _is_int_constant(f):
+    return len(f) == 1 and mono_is_one(next(iter(f)))
+
+
+def _evaluate(f, v, xi):
+    """f with the symbol of index v set to the integer xi, zeros dropped."""
+    out = {}
+    for m, a in f.items():
+        image = m[:v] + (0,) + m[v + 1 :]
+        out[image] = out.get(image, 0) + a * xi ** m[v]
+    return {m: a for m, a in out.items() if a}
+
+
+def _interpolate(h, v, xi):
+    """The polynomial in the symbol of index v whose coefficients, taken
+    in (-xi/2, xi/2], are the base-xi digits of h's: the symmetric
+    xi-adic expansion of an image h free of that symbol."""
+    half = xi // 2
+    out = {}
+    for m, a in h.items():
+        e = 0
+        while a:
+            d = a % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m[:v] + (e,) + m[v + 1 :]] = d
+            a = (a - d) // xi
+            e += 1
+    return out
+
+
+def _int_divides(h, f):
+    """Does the integer-primitive h divide f in Z[syms]?  By Gauss's
+    lemma a quotient in Q[syms] would have integer coefficients, so a
+    leading coefficient that does not divide exactly is a no."""
+    return _long_division(f, h, _int_quotient) is not None
+
+
+def _int_quotient(c, d):
+    q, r = divmod(c, d)
+    return None if r else q
+
+
+def _gcd_prs(p, q):
+    """Primitive pseudo-remainder sequence in the main symbol, the highest
+    index occurring in p or q, with the gcd of the contents multiplied
+    back at the end."""
     v = max(i for m in (*p.terms, *q.terms) for i, e in enumerate(m) if e)
     cont_p, a = poly_primitive(_coeff_list(p, v))
     cont_q, b = poly_primitive(_coeff_list(q, v))

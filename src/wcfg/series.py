@@ -349,7 +349,8 @@ class _GradedSweep:
                     edges[i].add(k)
         order, rest = _dependency_order(edges)
         if rest:
-            raise NotCycleFree([system.variables[k] for k in rest if k in everywhere])
+            raise NotCycleFree([system.variables[k] for k in rest if k in everywhere],
+                               path=False)
         self.order = [(nodes[k], computes[k]) for k in order]
 
     def extend(self, order):
@@ -411,7 +412,7 @@ def _scalar_fixpoint(sr, equations, variables):
         if nxt == current:
             return current
         current, last = nxt, current
-    raise NotCycleFree([v for v, a, b in zip(variables, current, last) if a != b])
+    raise NotCycleFree([v for v, a, b in zip(variables, current, last) if a != b], path=False)
 
 
 def approximate(system, order):

@@ -56,12 +56,6 @@ def tree_weight(grammar, tree):
     return w
 
 
-def tree_depth(tree):
-    if not tree.children:
-        return 1
-    return 1 + max(tree_depth(c) for c in tree.children)
-
-
 def tree_size(tree):
     return 1 + sum(tree_size(c) for c in tree.children)
 

@@ -17,6 +17,7 @@ from wcfg import (
     eliminate_to_univariate,
     grammar_from_linear,
     grammar_series,
+    load_grammar,
     parikh_series_bruteforce,
     parse_grammar,
     rational_reconstruct,
@@ -31,7 +32,7 @@ from wcfg.polynomials import coefficients_in_last
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
 
-from fixtures import load_fixture
+from fixtures import GRAMMARS_DIR, deadline, load_fixture
 
 GOLDEN_REPORTS = {
     "catalan.wcfg": """\
@@ -442,6 +443,54 @@ rule V3 -> V4 V4 V3 : -1
          " + 64*a^8 + 48*a^6*b^2 + 12*a^4*b^4 + a^2*b^6)", 17),
 }
 
+# Two documents of that corpus (seed 3) on which a gcd taken inside the
+# Groebner basis ran for minutes as a primitive pseudo-remainder
+# sequence, its Fraction coefficients swelling; the heuristic gcd takes
+# about a second on the first and a hundredth of one on the second.
+HEURISTIC_GCD = {
+    "random-5x3x12-003": ('''\
+semiring Q
+terminals a b c
+variables V1 V2 V3 V4 V5
+start V1
+rule V1 -> c c : 3
+rule V2 -> a : 3/2
+rule V3 -> b : -1/2
+rule V4 -> b : 1
+rule V5 -> c a : -2
+rule V1 -> V4 V3 : 1/2
+rule V3 -> V4 : 2
+rule V4 -> V5 V1 : 2
+rule V5 -> c V3 : 3
+rule V2 -> c b : -1/2
+rule V2 -> V5 : -2
+rule V5 -> V5 V5 : 1
+''', "9216*c^2*V1^5 - (1536*c + 1024*a^2*c^2 + 768*a*b*c^2 + 27648*c^4)*V1^4"
+         " + (64 + 256*a*c - 1248*b*c + 448*a*b*c + 144*b^2*c + 4608*c^3)*V1^3"
+         " - (16 - 56*b + 48*b^2 + 192*c^2 - 200*a*b^2*c + 768*a*c^3 - 54*b^3*c"
+         " - 3744*b*c^3)*V1^2"
+         " + (24*b^2 + 96*c^2 - 42*b^3 - 168*b*c^2)*V1 - (9*b^4 + 72*b^2*c^2 + 144*c^4)", 9),
+    "random-4x2x9-266": ('''\
+semiring Q
+terminals a b
+variables V1 V2 V3 V4
+start V1
+rule V1 -> b b : -1
+rule V2 -> a : 1/2
+rule V3 -> b : -2
+rule V4 -> a b : 3/2
+rule V1 -> a : 1
+rule V4 -> V3 V2 V1 : 2
+rule V2 -> V3 : 3/2
+rule V1 -> a V2 V3 : 2
+rule V3 -> b b V2 : -2
+''', "(1 + 6*b^2 + 9*b^4)*V1"
+         " - (a - b^2 - 2*a^2*b + 18*a*b^2 - 6*b^4 - a^3*b^2 + 6*a^2*b^3 + 9*a*b^4 - 9*b^6)", 0,
+        "holds", "linear certificate"),
+}
+PINNED_DOCUMENTS = {**SLOW_SQUAREFREE, **MODULAR_CERTIFICATES, **FRACTION_FREE_BASES,
+                    **HEURISTIC_GCD}
+
 
 def no_gcd_in_the_start_variable(monkeypatch, start):
     """Make every polynomial gcd of an operand that involves the start
@@ -483,3 +532,29 @@ def test_modular_certificate_documents(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FRACTION_FREE_BASES))
 def test_fraction_free_basis_documents(name, monkeypatch):
     check_pinned_document(monkeypatch, *FRACTION_FREE_BASES[name])
+
+
+def no_pseudo_remainder_sequence(monkeypatch):
+    """Make the gcd's fallback fail, so that every gcd is the heuristic's."""
+    def fallback(p, q):
+        raise AssertionError("the heuristic gcd gave up")
+
+    monkeypatch.setattr(importlib.import_module("wcfg.polynomials"), "_gcd_prs", fallback)
+
+
+SHIPPED_Q_DOCUMENTS = sorted(path.name for path in GRAMMARS_DIR.glob("*.wcfg")
+                             if load_grammar(path).semiring.keyword == "Q")
+
+
+@pytest.mark.parametrize("name", SHIPPED_Q_DOCUMENTS)
+def test_the_heuristic_gcd_decides_the_shipped_documents(name, monkeypatch):
+    expected = render_report(decide_parikh(load_fixture(name)))
+    no_pseudo_remainder_sequence(monkeypatch)
+    assert render_report(decide_parikh(load_fixture(name))) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
+def test_the_heuristic_gcd_decides_the_pinned_documents(name, monkeypatch):
+    no_pseudo_remainder_sequence(monkeypatch)
+    with deadline(20):
+        check_pinned_document(monkeypatch, *PINNED_DOCUMENTS[name])

@@ -26,7 +26,7 @@ from wcfg.groebner import (buchberger, lex_key, reduce_basis, s_polynomial,
 from wcfg.monomials import mono_divides
 from wcfg.polynomials import coefficients_in_last, poly_gcd, rational_content
 
-from fixtures import GRAMMARS_DIR, fixture_path, load_fixture
+from fixtures import GRAMMARS_DIR, deadline, fixture_path, load_fixture
 from system_gen import random_system
 
 SYMS = ("a",)
@@ -251,6 +251,19 @@ def test_random_systems_reduce_their_generators_to_zero():
         for i, f in enumerate(basis):
             for h in basis[i + 1:]:
                 assert poly_reduce(s_polynomial(f, h), basis).is_zero()
+
+
+def test_the_unit_ideal_of_a_system_with_swelling_gcds():
+    # the 20th seed-20261018 draw: its basis took 6 to 9 s while the gcds
+    # of its coefficients ran as a pseudo-remainder sequence, and takes
+    # hundredths of a second with the heuristic gcd
+    rng = random.Random(20261018)
+    for _ in range(19):
+        random_system(rng)
+    gens = random_system(rng)
+    with deadline(3):
+        basis = groebner_basis(gens)
+    assert [render_system_polynomial(g) for g in basis] == ["1"]
 
 
 def random_reduced_bases(count):

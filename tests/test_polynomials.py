@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wcfg import Polynomial, RationalFunction
+from wcfg import Polynomial, RationalFunction, polynomials
 from wcfg.errors import (
     DivisionByZeroPolynomial,
     SymbolMismatch,
@@ -141,8 +141,17 @@ def test_gcd_divides_both_and_product_law(p, q):
 
 SYMS3 = ("a", "b", "c")
 _poly3 = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), _coeff, max_size=3
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)), max_size=4
 ).map(lambda d: Polynomial(SYMS3, d))
+
+
+def prs_gcd(p, q):
+    """poly_gcd with the heuristic giving up at every call, so that every
+    gcd, the recursive ones too, is the pseudo-remainder sequence's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_heu_gcd", lambda f, g: None)
+        return poly_gcd(p, q)
 
 
 @given(h=_poly3, p=_poly3, q=_poly3)
@@ -153,6 +162,34 @@ def test_gcd_keeps_a_planted_common_factor(h, p, q):
     g = poly_gcd(hp, hq)
     assert poly_divides(g, hp) and poly_divides(g, hq)
     assert poly_divides(h, g)
+    assert g == prs_gcd(hp, hq)
+
+
+@given(h=_poly3, p=_poly3, q=_poly3)
+@settings(max_examples=60)
+def test_a_heuristic_with_no_tries_falls_back_to_the_same_gcd(h, p, q):
+    hp, hq = h * p, h * q
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_HEU_TRIES", 0)
+        fallback = poly_gcd(hp, hq)
+    assert fallback == poly_gcd(hp, hq)
+
+
+def test_a_failed_evaluation_point_is_retried_before_the_fallback(monkeypatch):
+    # at xi = 2*1 + 29 = 31, a + 1 and a^2 + 31 evaluate to 32 and 992,
+    # whose gcd 32 rebuilds as a + 1, which does not divide a^2 + 31;
+    # the next point, 84, gives the gcd 1
+    p, q = a + one, a * a + Polynomial.const(SYMS, 31)
+    fallback, calls = polynomials._gcd_prs, []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return fallback(f, g)
+
+    monkeypatch.setattr(polynomials, "_gcd_prs", counted)
+    assert poly_gcd(p, q) == one and calls == []
+    monkeypatch.setattr(polynomials, "_HEU_TRIES", 1)
+    assert poly_gcd(p, q) == one and calls == [(p, q)]
 
 
 @given(p=_poly, q=_poly)

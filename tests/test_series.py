@@ -12,6 +12,7 @@ from wcfg import (
     algebraic_system,
     grammar_from_linear,
     grammar_series,
+    is_cycle_free,
     parikh_series_bruteforce,
     parse_grammar,
     render_series,
@@ -194,6 +195,27 @@ def test_approximate_rejects_cyclic_systems(text):
     with pytest.raises(NotCycleFree) as raised:
         approximate(algebraic_system(parse_grammar(text)), 3)
     assert raised.value.cycle == ("X",)
+
+
+TWO_CYCLE = "semiring Q\nterminals a\nvariables X Y\nstart X\nrule X -> Y : 1\nrule Y -> X : 1\n"
+
+
+@pytest.mark.parametrize("rules", [
+    # constant terms 0: the sweep cannot place X or Y at degree 1
+    "rule X -> a : 1\n",
+    # constant terms 1, 2, 3, ...: still changing at pass |V| + 1
+    "rule X -> eps : 1\nrule Y -> eps : 1\n",
+], ids=["sweep", "constant-terms"])
+def test_a_cycle_found_by_the_series_renders_its_variables_as_a_set(rules):
+    with pytest.raises(NotCycleFree) as raised:
+        approximate(algebraic_system(parse_grammar(TWO_CYCLE + rules)), 3)
+    assert str(raised.value) == "grammar is not cycle-free: variables on or behind a cycle: X, Y"
+    assert raised.value.cycle == ("X", "Y")
+
+
+def test_a_cycle_found_by_is_cycle_free_renders_as_a_path():
+    _, cycle = is_cycle_free(parse_grammar(TWO_CYCLE + "rule X -> a : 1\n"))
+    assert str(NotCycleFree(cycle.variables)) == "grammar is not cycle-free: X -> Y -> X"
 
 
 def test_a_unit_chain_needs_every_scalar_pass():

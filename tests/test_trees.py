@@ -20,7 +20,6 @@ from wcfg.trees import (
     ParseTree,
     derivation_from_tree,
     min_yield_lengths,
-    tree_depth,
     tree_size,
 )
 
@@ -41,7 +40,6 @@ def test_yield_weight_and_shape():
     assert tree_yield(BT, SMALL) == ("a", "a", "a")
     assert tree_yield(BT, TALL) == ("a", "b", "a", "a")
     assert tree_weight(BT, SMALL) == Fraction(1)
-    assert tree_depth(SMALL) == 2
     assert tree_size(TALL) == 4
 
 
