@@ -8,10 +8,12 @@ that series is already a ratio of terminal polynomials — equivalently,
 when the squarefree annihilating polynomial has a linear factor with the
 series as its root.  The pipeline therefore eliminates down to one
 variable, clears denominators, and either reads the linear certificate
-off directly or hunts for a linear factor by reconstructing the series
-as a ratio of bounded-degree polynomials and checking divisibility
-symbolically.  A witness grammar is rebuilt from the linear form
-X = s*X + t, whose fixed point is the series itself.
+off directly, proves that no linear factor exists because an image of
+the certificate modulo a small prime has no root, or hunts for a linear
+factor by reconstructing the series as a ratio of bounded-degree
+polynomials and checking divisibility symbolically.  A witness grammar
+is rebuilt from the linear form X = s*X + t, whose fixed point is the
+series itself.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from .groebner import (
     univar_polynomial,
 )
 from .linalg import nullspace
-from .modular import P, full_column_rank
+from .modular import P, full_column_rank, no_root
 from .monomials import monomials_up_to_degree, mono_divides, mono_div
 from .polynomials import Polynomial, coefficients_in_last, poly_divexact, poly_gcd
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
@@ -53,11 +55,13 @@ class DecisionReport:
     grammar (holds only); basis_g the univariate element of the reduced
     basis, a monic view over Q(terminals);
     discrimination_order the series order that certified the verdict
-    (0 when the certificate was purely symbolic); and reason the branch
-    that certified it: "linear certificate", "reconstructed factor at
-    order n", "empty space by rank mod P at order n" (P in digits) or
-    "empty space by exact nullspace at order n".  render_report leaves
-    the reason out.
+    (0 when no series was needed: a linear certificate, or a fails
+    proved modulo a prime); and reason the branch that certified it:
+    "linear certificate", "no root mod l at point t" (the prime l and
+    the point base t of modular.no_root), "reconstructed factor at order
+    n", "empty space by rank mod P at order n" (P in digits) or "empty
+    space by exact nullspace at order n".  render_report leaves the
+    reason out.
     """
 
     verdict: str
@@ -183,10 +187,13 @@ def decide_parikh(g, max_rounds=12):
 
     Linear certificate polynomial: verdict holds, with a one-variable
     witness grammar whose series equals the input's.  Degree two or
-    more: search for a linear factor through the series — a reconstructed
-    ratio that divides the certificate symbolically and survives
-    discrimination proves holds; an empty reconstruction space proves no
-    linear annihilator exists at all, so the verdict is fails.
+    more: first modular.no_root tries to prove that the certificate has
+    no linear factor at all, from an image modulo a small prime with no
+    root; that proves fails at order 0.  Otherwise search for a linear
+    factor through the series — a reconstructed ratio that divides the
+    certificate symbolically and survives discrimination proves holds;
+    an empty reconstruction space proves no linear annihilator exists at
+    all, so the verdict is fails.
 
     Past the squarefree step the certificate, each candidate c*X - d
     and each cofactor are one Polynomial over the terminals plus X,
@@ -210,6 +217,8 @@ def decide_parikh(g, max_rounds=12):
 
     if certificate.degree_in(name) == 1:
         linear, order, reason = poly, 0, "linear certificate"
+    elif (proof := no_root(poly.terms)) is not None:
+        linear, order, reason = None, 0, proof
     else:
         linear, order, reason = _linear_factor(poly, system, max_rounds)
     if linear is None:

@@ -32,7 +32,7 @@ from .errors import (
     SymbolMismatch,
     ZeroDenominator,
 )
-from .modular import POINT_BASES, P, residue, univar_gcd
+from .modular import POINT_BASES, P, image, univar_gcd
 from .monomials import (
     grade_key,
     mono_degree,
@@ -289,15 +289,6 @@ def _long_division(f, h, divide):
             else:
                 rem.pop(mm, None)
     return quot
-
-
-def poly_divides(q, p):
-    """Does q divide p exactly?"""
-    try:
-        poly_divexact(p, q)
-        return True
-    except NotDivisible:
-        return False
 
 
 def _mono_content(p):
@@ -593,23 +584,14 @@ def _coprime_mod_p(p):
     degrees survive the reduction and the resultant of p and dp/dv in v
     reduces to the resultant of the images, which is nonzero.  False is
     inconclusive."""
-    n = max(m[-1] for m in p.terms)
-    residues = []
-    for m, c in p.terms.items():
-        r = residue(c)
-        if r is None:
-            return False
-        residues.append((m, r))
     for base in POINT_BASES:
-        point = [pow(base, i + 1, P) for i in range(len(p.syms) - 1)]
-        image = [0] * (n + 1)
-        for m, r in residues:
-            for x, e in zip(point, m):
-                r = r * pow(x, e, P) % P
-            image[m[-1]] = (image[m[-1]] + r) % P
-        if image[n] and n % P:
-            der = [i * c % P for i, c in enumerate(image)][1:]
-            return len(univar_gcd(image, der)) == 1
+        f = image(p.terms, base, P)
+        if f is None:
+            return False
+        n = len(f) - 1
+        if f[n] and n % P:
+            der = [i * c % P for i, c in enumerate(f)][1:]
+            return len(univar_gcd(f, der, P)) == 1
     return False
 
 

@@ -1,7 +1,11 @@
 import importlib
+import importlib.util
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcfg import (
     DegenerateLeadingTerm,
@@ -17,6 +21,7 @@ from wcfg import (
     eliminate_to_univariate,
     grammar_from_linear,
     grammar_series,
+    is_cycle_free,
     load_grammar,
     parikh_series_bruteforce,
     parse_grammar,
@@ -26,8 +31,8 @@ from wcfg import (
 )
 from wcfg.decide import _reconstruction_space
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
-from wcfg.groebner import univar_polynomial
-from wcfg.modular import P, full_column_rank
+from wcfg.groebner import univar_gcd_squarefree, univar_polynomial
+from wcfg.modular import P, POINT_BASES, full_column_rank, no_root
 from wcfg.polynomials import coefficients_in_last
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
@@ -39,7 +44,7 @@ GOLDEN_REPORTS = {
 verdict: fails
 q: a*X^2 - X + a
 basis_g: X^2 - (1/a)*X + 1
-discrimination_order: 3""",
+discrimination_order: 0""",
     "two_letter_star_cfl.wcfg": """\
 verdict: holds
 q: (1 - a - abar)*X2 - 1
@@ -93,7 +98,7 @@ witness:
 
 
 GOLDEN_REASONS = {
-    "catalan.wcfg": f"empty space by rank mod {P} at order 3",
+    "catalan.wcfg": "no root mod 1009 at point 2718281",
     "two_letter_star_cfl.wcfg": "linear certificate",
     "binary_tail.wcfg": "linear certificate",
     "unary_double.wcfg": "linear certificate",
@@ -109,9 +114,11 @@ def test_fixture_reports(name):
 
 
 def test_an_inconclusive_rank_falls_back_to_the_exact_nullspace(monkeypatch):
+    monkeypatch.setattr("wcfg.decide.no_root", lambda terms: None)
     monkeypatch.setattr("wcfg.decide.full_column_rank", lambda rows, ncols: False)
     report = decide_parikh(load_fixture("catalan.wcfg"))
-    assert render_report(report) == GOLDEN_REPORTS["catalan.wcfg"]
+    assert render_report(report) == GOLDEN_REPORTS["catalan.wcfg"].replace(
+        "discrimination_order: 0", "discrimination_order: 3")
     assert report.reason == "empty space by exact nullspace at order 3"
 
 
@@ -329,7 +336,8 @@ rule V3 -> b a : -2
 rule V1 -> V3 V3 V1 : 3
 rule V3 -> V1 b : 2
 """, "12*b^2*V1^3 + (24*a^2*b - 24*a*b^2 + 36*b^3)*V1^2"
-         " - (1 - 12*a^4 + 24*a^3*b - 48*a^2*b^2 + 36*a*b^3 - 27*b^4)*V1 - a*b", 9),
+         " - (1 - 12*a^4 + 24*a^3*b - 48*a^2*b^2 + 36*a*b^3 - 27*b^4)*V1 - a*b",
+        0, "fails", "no root mod 1013 at point 1000003"),
     "random-3x2x7-249": ("""\
 semiring Q
 terminals a b
@@ -342,7 +350,8 @@ rule V2 -> V1 : 1
 rule V1 -> V3 V1 V2 : 1
 rule V3 -> V1 : 2
 rule V3 -> a a : 1
-""", "2*V1^3 + (a - 4*b + a^2)*V1^2 - (1 + 2*a*b + 2*a^2*b)*V1 + a", 7),
+""", "2*V1^3 + (a - 4*b + a^2)*V1^2 - (1 + 2*a*b + 2*a^2*b)*V1 + a",
+        0, "fails", "no root mod 1009 at point 1000003"),
 }
 
 
@@ -367,7 +376,8 @@ rule V4 -> b : 3/2
 rule V1 -> a V2 : 1
 rule V4 -> V3 V1 : -1
 ''', "3*V1^2 - (a + 6*b + 18*b^3)*V1"
-         " + (a*b + 3*b^2 + a^2*b + 3*a*b^3 + 18*b^4 + 27*b^6)", 13),
+         " + (a*b + 3*b^2 + a^2*b + 3*a*b^3 + 18*b^4 + 27*b^6)",
+        0, "fails", "no root mod 1009 at point 1000003"),
     "random-3x2x7-001": ('''\
 semiring Q
 terminals a b
@@ -382,7 +392,8 @@ rule V1 -> V2 V3 V3 : -1
 rule V3 -> b V2 : 3
 ''', "9*b^2*V1^6 + (6*a*b^2 - 27*a*b^3)*V1^4 + (a^2*b^2 - 12*a^2*b^3 + 27*a^2*b^4)*V1^2"
          " + (8 - 32*b^2 + 32*b^4)*V1"
-         " - (16*b^2 - 64*b^4 + a^3*b^3 + 64*b^6 - 6*a^3*b^4 + 9*a^3*b^5)", 17),
+         " - (16*b^2 - 64*b^4 + a^3*b^3 + 64*b^6 - 6*a^3*b^4 + 9*a^3*b^5)",
+        0, "fails", "no root mod 1009 at point 1000003"),
     "random-4x2x9-111": ('''\
 semiring Q
 terminals a b
@@ -398,7 +409,8 @@ rule V2 -> V1 V4 : 1/2
 rule V3 -> V2 b V4 : -1/2
 rule V1 -> V3 b : -1
 ''', "b^4*V1^3 - (12*b^2 + 4*b^5 + a*b^5 - 2*a*b^6)*V1^2"
-         " + (16 - 16*b^3 + 8*a*b^3 - 16*a*b^4 - 16*b^6)*V1 - (16*a*b - 32*a*b^2)", 15),
+         " + (16 - 16*b^3 + 8*a*b^3 - 16*a*b^4 - 16*b^6)*V1 - (16*a*b - 32*a*b^2)",
+        0, "fails", "no root mod 1009 at point 2718281"),
 }
 # Two documents of that corpus (seed 1) on which the Groebner basis
 # computed over Q(a, b) ran past 90 s and 17 s, nearly all of it in the
@@ -440,7 +452,8 @@ rule V3 -> V4 V4 V3 : -1
          " + (2 + 12*b + 24*a^2 + 8*b^2 - 32*a^3*b - 8*a*b^3 + 96*a^6 + 48*a^4*b^2"
          " + 6*a^2*b^4)*V1"
          " - (2*b + 4*a^2 + b^2 + 4*a^2*b^2 + b^4 - 32*a^5*b - 16*a^3*b^3 - 2*a*b^5"
-         " + 64*a^8 + 48*a^6*b^2 + 12*a^4*b^4 + a^2*b^6)", 17),
+         " + 64*a^8 + 48*a^6*b^2 + 12*a^4*b^4 + a^2*b^6)",
+        0, "fails", "no root mod 1009 at point 1000003"),
 }
 
 # Two documents of that corpus (seed 3) on which a gcd taken inside the
@@ -469,7 +482,8 @@ rule V5 -> V5 V5 : 1
          " + (64 + 256*a*c - 1248*b*c + 448*a*b*c + 144*b^2*c + 4608*c^3)*V1^3"
          " - (16 - 56*b + 48*b^2 + 192*c^2 - 200*a*b^2*c + 768*a*c^3 - 54*b^3*c"
          " - 3744*b*c^3)*V1^2"
-         " + (24*b^2 + 96*c^2 - 42*b^3 - 168*b*c^2)*V1 - (9*b^4 + 72*b^2*c^2 + 144*c^4)", 9),
+         " + (24*b^2 + 96*c^2 - 42*b^3 - 168*b*c^2)*V1 - (9*b^4 + 72*b^2*c^2 + 144*c^4)",
+        0, "fails", "no root mod 1009 at point 2718281"),
     "random-4x2x9-266": ('''\
 semiring Q
 terminals a b
@@ -507,14 +521,14 @@ def no_gcd_in_the_start_variable(monkeypatch, start):
     monkeypatch.setattr(module, "poly_gcd", guarded)
 
 
-def check_pinned_document(monkeypatch, text, q, order, verdict="fails", reason=None):
+def check_pinned_document(monkeypatch, text, q, order, verdict, reason):
     g = parse_grammar(text)
     # every pinned certificate is squarefree, proved modulo P
     no_gcd_in_the_start_variable(monkeypatch, g.start)
     report = decide_parikh(g)
     assert (report.verdict, render_system_polynomial(report.q),
             report.discrimination_order) == (verdict, q, order)
-    assert report.reason == (reason or f"empty space by rank mod {P} at order {order}")
+    assert report.reason == reason
     coeffs = coefficients_in_last(univar_polynomial(report.q, g.start))
     assert eval_poly_at_series(coeffs, parikh_series_bruteforce(g, 5), 5).is_zero()
 
@@ -558,3 +572,132 @@ def test_the_heuristic_gcd_decides_the_pinned_documents(name, monkeypatch):
     no_pseudo_remainder_sequence(monkeypatch)
     with deadline(20):
         check_pinned_document(monkeypatch, *PINNED_DOCUMENTS[name])
+
+
+# A document of that corpus (seed 3) that the no-root proof cannot
+# decide: the discriminant 9*(1 + 4*b^2 - 4*a^2) of its certificate is
+# the square 9*(2*t^2 - 1)^2 at every point (t, t^2) of POINT_BASES, so
+# every image has a root, and the rank modulo P proves the verdict.
+ROOT_AT_EVERY_TRY = {
+    "random-3x2x7-106": ("""\
+semiring Q
+terminals a b
+variables V1 V2 V3
+start V1
+rule V1 -> b : 1
+rule V2 -> b a : -2
+rule V3 -> a a : -1
+rule V1 -> V3 : 3
+rule V3 -> V3 V3 : -1
+rule V3 -> b b : 1
+rule V2 -> V1 b : -1/2
+""", "V1^2 + (3 - 2*b)*V1 - (3*b - 9*a^2 + 8*b^2)", 5, "fails",
+        f"empty space by rank mod {P} at order 5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_AT_EVERY_TRY))
+def test_a_root_at_every_try_falls_through_to_the_rank(name, monkeypatch):
+    text, q, *_ = ROOT_AT_EVERY_TRY[name]
+    g = parse_grammar(text)
+    assert no_root(univar_polynomial(certificate(g), g.start).terms) is None
+    check_pinned_document(monkeypatch, *ROOT_AT_EVERY_TRY[name])
+
+
+def certificate(g):
+    """The squarefree cleared certificate decide_parikh starts from."""
+    return clear_denominators(univar_gcd_squarefree(
+        eliminate_to_univariate(algebraic_system(g)), g.start))
+
+
+SYMS = ("a", "X")
+A, X, ONE = Polynomial.variable(SYMS, "a"), Polynomial.variable(SYMS, "X"), Polynomial.const(SYMS, 1)
+
+
+def image_mod(poly, p, base):
+    """Ascending coefficients in X of poly over (a, X) at a = base in
+    GF(p)."""
+    coeffs = [0] * (max(m[1] for m in poly.terms) + 1)
+    for (i, j), c in poly.terms.items():
+        coeffs[j] += c.numerator * pow(c.denominator, -1, p) * base ** i
+    return [c % p for c in coeffs]
+
+
+def check_no_root(poly, reason):
+    """no_root proves poly with `reason`, and the image it names has a
+    lead that survives and no root, by trying every element."""
+    assert no_root(poly.terms) == reason
+    p, base = (int(word) for word in reason.split()[3::3])
+    coeffs = image_mod(poly, p, base)
+    assert coeffs[-1]
+    assert all(sum(c * x ** j for j, c in enumerate(coeffs)) % p for x in range(p))
+
+
+def test_no_root_proves_an_irreducible_quadratic():
+    # 11 is the least prime that is not a square modulo 1009
+    check_no_root(X * X - A.scale(11), "no root mod 1009 at point 1000003")
+
+
+def test_no_root_skips_a_prime_or_a_point():
+    # the lead 1009 vanishes modulo 1009, so that prime proves nothing
+    check_no_root(X * X.scale(1009) - A.scale(11), "no root mod 1013 at point 2718281")
+    # 1009 divides a denominator: that prime is skipped, although the
+    # image without that term would have no root
+    check_no_root(X * X + X.scale(Fraction(1, 1009)) - A.scale(11),
+                  "no root mod 1013 at point 1000003")
+    # the lead a - 1000003 vanishes at the first point of every prime
+    lead = A - ONE.scale(POINT_BASES[0])
+    check_no_root(lead * X * X - A.scale(11), "no root mod 1009 at point 2718281")
+
+
+def test_no_root_falls_through_without_a_rational_root():
+    # one of 2, 3 and 6 is a square modulo every odd prime, so this
+    # product has a root at every try, but no linear factor over Q
+    product = (X * X - ONE.scale(2)) * (X * X - ONE.scale(3)) * (X * X - ONE.scale(6))
+    assert no_root(product.terms) is None
+
+
+@pytest.mark.parametrize("name", SHIPPED_Q_DOCUMENTS)
+def test_no_root_never_fires_on_a_holding_document(name):
+    g = load_fixture(name)
+    if decide_parikh(g).verdict == "holds":
+        assert no_root(univar_polynomial(certificate(g), g.start).terms) is None
+
+
+def test_the_catalan_verdict_needs_no_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series approximated")
+
+    monkeypatch.setattr("wcfg.decide.approximate", no_series)
+    report = decide_parikh(load_fixture("catalan.wcfg"))
+    assert (report.verdict, report.discrimination_order) == ("fails", 0)
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+
+
+def load_corpus():
+    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(3, 2, 7), (4, 2, 9)]))
+@settings(max_examples=15, deadline=None)
+def test_the_no_root_proof_agrees_with_the_reconstruction(seed, shape):
+    # the benchmark's generator, since the nonexpansive grammars of
+    # grammar_gen always hold; the first failing document of the seed
+    corpus, rng = load_corpus(), random.Random(seed)
+    while True:
+        g = parse_grammar(corpus.random_document(rng, rng, "Q", *shape))
+        if is_cycle_free(g)[0]:
+            with deadline(20):
+                report = decide_parikh(g)
+            if report.verdict == "fails":
+                break
+    with pytest.MonkeyPatch.context() as patch, deadline(20):
+        patch.setattr("wcfg.decide.no_root", lambda terms: None)
+        reconstructed = decide_parikh(g)
+    assert (reconstructed.verdict, render_system_polynomial(reconstructed.q)) == \
+        ("fails", render_system_polynomial(report.q))
