@@ -574,6 +574,12 @@ def test_the_heuristic_gcd_decides_the_pinned_documents(name, monkeypatch):
         check_pinned_document(monkeypatch, *PINNED_DOCUMENTS[name])
 
 
+def certificate(g):
+    """The squarefree cleared certificate decide_parikh starts from."""
+    return clear_denominators(univar_gcd_squarefree(
+        eliminate_to_univariate(algebraic_system(g)), g.start))
+
+
 # A document of that corpus (seed 3) that the no-root proof cannot
 # decide: the discriminant 9*(1 + 4*b^2 - 4*a^2) of its certificate is
 # the square 9*(2*t^2 - 1)^2 at every point (t, t^2) of POINT_BASES, so
@@ -598,20 +604,15 @@ rule V2 -> V1 b : -1/2
 
 @pytest.mark.parametrize("name", sorted(ROOT_AT_EVERY_TRY))
 def test_a_root_at_every_try_falls_through_to_the_rank(name, monkeypatch):
-    text, q, *_ = ROOT_AT_EVERY_TRY[name]
-    g = parse_grammar(text)
+    g = parse_grammar(ROOT_AT_EVERY_TRY[name][0])
     assert no_root(univar_polynomial(certificate(g), g.start).terms) is None
     check_pinned_document(monkeypatch, *ROOT_AT_EVERY_TRY[name])
 
 
-def certificate(g):
-    """The squarefree cleared certificate decide_parikh starts from."""
-    return clear_denominators(univar_gcd_squarefree(
-        eliminate_to_univariate(algebraic_system(g)), g.start))
-
-
 SYMS = ("a", "X")
-A, X, ONE = Polynomial.variable(SYMS, "a"), Polynomial.variable(SYMS, "X"), Polynomial.const(SYMS, 1)
+A = Polynomial.variable(SYMS, "a")
+X = Polynomial.variable(SYMS, "X")
+ONE = Polynomial.const(SYMS, 1)
 
 
 def image_mod(poly, p, base):
