@@ -40,7 +40,7 @@ from .groebner import (
     univar_polynomial,
 )
 from .linalg import nullspace
-from .modular import P, full_column_rank, no_root
+from .modular import no_root
 from .monomials import monomials_up_to_degree, mono_divides, mono_div
 from .polynomials import Polynomial, coefficients_in_last, poly_divexact, poly_gcd
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
@@ -59,9 +59,8 @@ class DecisionReport:
     proved modulo a prime); and reason the branch that certified it:
     "linear certificate", "no root mod l at point t" (the prime l and
     the point base t of modular.no_root), "reconstructed factor at order
-    n", "empty space by rank mod P at order n" (P in digits) or "empty
-    space by exact nullspace at order n".  render_report leaves the
-    reason out.
+    n" or "empty space by exact nullspace at order n".  render_report
+    leaves the reason out.
     """
 
     verdict: str
@@ -105,18 +104,14 @@ def rational_reconstruct(r1, D, k):
     works.  c is normalized to canonical (first ascending) coefficient
     one.  With k >= 2D + 1 a persistent solution pins down a genuine
     rational representation candidate."""
-    space, _ = _reconstruction_space(r1, D, k)
+    space = _reconstruction_space(r1, D, k)
     return space[0] if space else None
 
 
 def _reconstruction_space(r1, D, k):
-    """(space, method): all nullspace basis solutions of the truncated
-    c*r1 - d = 0 system, as normalized (c, d) polynomial pairs, and how
-    they were found.  Full column rank modulo P proves the space empty
-    ("rank mod P"); otherwise the exact nullspace decides ("exact
-    nullspace")."""
+    """All nullspace basis solutions of the truncated c*r1 - d = 0
+    system, as normalized (c, d) polynomial pairs."""
     monos = monomials_up_to_degree(len(r1.syms), D)
-    ncols = 2 * len(monos)
     rows = []
     for v in monomials_up_to_degree(len(r1.syms), k):
         row = []
@@ -128,17 +123,15 @@ def _reconstruction_space(r1, D, k):
         for m in monos:  # d columns: -d contributes at its own monomial
             row.append(Fraction(-1) if m == v else Fraction(0))
         rows.append(row)
-    if full_column_rank(rows, ncols):
-        return [], f"rank mod {P}"
     out = []
-    for vec in nullspace(rows, ncols):
+    for vec in nullspace(rows, 2 * len(monos)):
         c = Polynomial(r1.syms, {m: vec[i] for i, m in enumerate(monos)})
         d = Polynomial(r1.syms, {m: vec[len(monos) + i] for i, m in enumerate(monos)})
         if c.is_zero():
             continue  # c = 0 forces d = 0; not a representation
         _, first = c.first_term()
         out.append((c.scale(1 / first), d.scale(1 / first)))
-    return out, "exact nullspace"
+    return out
 
 
 def discriminate_factor(candidates, system, max_order=256):
@@ -255,9 +248,9 @@ def _linear_factor(poly, system, max_rounds):
     orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
     for order in orders:
         r1 = approximate(system, order)[0]
-        space, method = _reconstruction_space(r1, D, order)
+        space = _reconstruction_space(r1, D, order)
         if not space:
-            return None, order, f"empty space by {method} at order {order}"
+            return None, order, f"empty space by exact nullspace at order {order}"
         for c, d in space:
             # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
             # exactly when c*X - d divides over Q(Sigma)

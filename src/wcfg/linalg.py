@@ -25,11 +25,14 @@ def rref(rows):
             continue
         mat[r], mat[hit] = mat[hit], mat[r]
         inv = _ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot = mat[r] = [x * inv for x in mat[r]]
+        # the pivot row is zero left of c; only its nonzero entries act
+        nonzero = [(j, y) for j, y in enumerate(pivot[c:], c) if y]
+        for row in mat:
+            if row is not pivot and row[c]:
+                f = row[c]
+                for j, y in nonzero:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
     return mat, pivots

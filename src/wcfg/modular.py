@@ -1,28 +1,28 @@
 """One-sided proofs over Q by reduction modulo a prime.
 
 Reducing modulo a prime p maps the rationals whose denominators p does
-not divide onto GF(p), and maps determinants to determinants and
-resultants to resultants.  So a value that is nonzero modulo p proves a
-value that is nonzero over Q (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5-6).  Likewise a factorisation over Q survives
-the reduction: a polynomial with a linear factor over Q(Sigma) has a
-root in GF(p) at every point where its leading coefficient survives, so
-an image with no root proves that there is no linear factor (ch. 14).
-Each helper answers in that one direction only: True, or a reason, is a
-proof, and False or None proves nothing, so the caller falls back to
-exact arithmetic.
+not divide onto GF(p), and maps resultants to resultants (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).  Likewise a
+factorisation over Q survives the reduction: a polynomial with a linear
+factor over Q(Sigma) has a root in GF(p) at every point where its
+leading coefficient survives, so an image with no root proves that
+there is no linear factor (ch. 14).  Both proofs, no_root and
+coprime_to_derivative, loop over the same tries, `images`: 8 primes
+times 3 points.  Each answers in one direction only: True, or a reason,
+is a proof, and False or None proves nothing, so the caller falls back
+to exact arithmetic.
 """
 
-P = 2**31 - 1
-
-# The primes of the no-root proof, every prime from 1009 to 1049: each
-# (prime, point) pair is a fresh chance for a factor of degree two or
-# more to have no root, and on the decide corpus these 24 tries proved
-# more verdicts than the 3 that P alone gives.
-ROOT_PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+# Every prime from 1009 to 1049: each (prime, point) pair is a fresh
+# chance for a factor of degree two or more to have no root, and on the
+# decide corpus these 24 tries proved more verdicts than 3 tries with
+# one large prime did.
+PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
 
 # Fixed evaluation points: at the point with base t, the i-th symbol
-# (from 0) takes the value t**(i + 1) mod p.
+# (from 0) takes the value t**(2*i + 1) mod p.  The odd powers keep the
+# points off the curve s_i = t**(i + 1), on which the discriminant
+# 1 + 4*b**2 - 4*a**2 of a corpus certificate is a square everywhere.
 POINT_BASES = (1_000_003, 2_718_281, 3_141_593)
 
 
@@ -44,7 +44,7 @@ def image(terms, base, p):
     coefficient list of its image in GF(p)[X], untrimmed, or None when p
     divides a denominator."""
     nsyms = len(next(iter(terms))) - 1
-    point = [pow(base, i + 1, p) for i in range(nsyms)]
+    point = [pow(base, 2 * i + 1, p) for i in range(nsyms)]
     out = [0] * (max(m[-1] for m in terms) + 1)
     for m, c in terms.items():
         r = residue(c, p)
@@ -56,6 +56,21 @@ def image(terms, base, p):
     return out
 
 
+def images(terms):
+    """The tries of both proofs: (prime, base, image) for each prime of
+    PRIMES and each point base, with the image of the polynomial
+    {exponent tuple: rational} in the symbols Sigma and X, last, trimmed
+    at the top.  A prime that divides a denominator is skipped, and so
+    is a point where the lead in X vanishes."""
+    for p in PRIMES:
+        for base in POINT_BASES:
+            f = image(terms, base, p)
+            if f is None:
+                break
+            if f[-1]:
+                yield p, base, f
+
+
 def no_root(terms):
     """Why the polynomial {exponent tuple: rational} in the symbols
     Sigma and X, last, has no factor c*X - d over Q(Sigma): the reason
@@ -64,51 +79,27 @@ def no_root(terms):
     Were there such a factor, c would divide the leading coefficient in
     X (Gauss's lemma), so at every point of GF(l) where that coefficient
     survives, the image would have the root d/c.  A unit
-    gcd(image, X**l - X) says that it has none.  A prime that divides a
-    denominator is skipped, and so is a point where the lead vanishes."""
-    for p in ROOT_PRIMES:
-        for base in POINT_BASES:
-            f = image(terms, base, p)
-            if f is None:
-                break
-            if not f[-1]:
-                continue
-            xp_minus_x = _x_power_mod(f, p) + [0, 0]
-            xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-            if len(univar_gcd(f, xp_minus_x, p)) == 1:
-                return f"no root mod {p} at point {base}"
+    gcd(image, X**l - X) says that it has none."""
+    for p, base, f in images(terms):
+        xp_minus_x = _x_power_mod(f, p) + [0, 0]
+        xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+        if len(univar_gcd(f, xp_minus_x, p)) == 1:
+            return f"no root mod {p} at point {base}"
     return None
 
 
-def full_column_rank(rows, ncols):
-    """Does the rational matrix have rank ncols modulo P?  True proves
-    rank ncols over Q, since a maximal minor that is nonzero modulo P is
-    nonzero.  False is inconclusive, as is an entry whose denominator P
-    divides."""
-    if len(rows) < ncols:
-        return False
-    mat = []
-    for row in rows:
-        reduced = [residue(x, P) for x in row]
-        if None in reduced:
-            return False
-        mat.append(reduced)
-    # the rank does not depend on the column order; the sparsest columns
-    # go first, since a column with one nonzero entry eliminates nothing
-    order = sorted(range(ncols), key=lambda j: sum(1 for row in mat if row[j]))
-    mat = [[row[j] for j in order] for row in mat]
-    # Gaussian elimination that drops each eliminated column, so every
-    # row starts at the current column
-    for _ in range(ncols):
-        hit = next((i for i, row in enumerate(mat) if row[0]), None)
-        if hit is None:
-            return False
-        pivot = mat.pop(hit)
-        inv = pow(pivot[0], -1, P)
-        tail = [y * inv % P for y in pivot[1:]]
-        mat = [[(x - row[0] * y) % P for x, y in zip(row[1:], tail)] if row[0] else row[1:]
-               for row in mat]
-    return True
+def coprime_to_derivative(terms):
+    """Is the polynomial {exponent tuple: rational} coprime to its
+    derivative in the last symbol v over Q(Sigma)?  True proves it: at
+    a try whose prime divides neither the lead in v nor the degree n,
+    both degrees survive the reduction, so the resultant of p and dp/dv
+    in v reduces to the resultant of the images, and a unit gcd of the
+    images says that it is nonzero.  False is inconclusive."""
+    for p, _, f in images(terms):
+        der = [i * c % p for i, c in enumerate(f)][1:]
+        if (len(f) - 1) % p and len(univar_gcd(f, der, p)) == 1:
+            return True
+    return False
 
 
 def univar_gcd(a, b, p):

@@ -32,7 +32,7 @@ from .errors import (
     SymbolMismatch,
     ZeroDenominator,
 )
-from .modular import POINT_BASES, P, image, univar_gcd
+from .modular import coprime_to_derivative
 from .monomials import (
     grade_key,
     mono_degree,
@@ -560,11 +560,11 @@ def poly_squarefree(p):
     each irreducible factor of p that involves v, once, and no factor
     free of v.  A p free of v gives 1.
 
-    When _coprime_mod_p proves the gcd free of v, the gcd is the content
-    of p in v and no gcd involving v is taken."""
+    When modular.coprime_to_derivative proves the gcd free of v, the gcd
+    is the content of p in v and no gcd involving v is taken."""
     if all(m[-1] == 0 for m in p.terms):
         return Polynomial.const(p.syms, 1)
-    if _coprime_mod_p(p):
+    if coprime_to_derivative(p.terms):
         v = len(p.syms) - 1
         content, cs = poly_primitive(_coeff_list(p, v))
         if content.is_constant():
@@ -574,25 +574,6 @@ def poly_squarefree(p):
     der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
                               for m, c in p.terms.items() if m[-1]}, _clean=False)
     return poly_divexact(p, poly_gcd(p, der))
-
-
-def _coprime_mod_p(p):
-    """Is p, with the other symbols set to the first fixed point of
-    GF(P) where its leading coefficient in the last symbol v survives,
-    coprime to its derivative in v?  True proves that gcd(p, dp/dv) is
-    free of v: P divides neither that coefficient nor deg p, so both
-    degrees survive the reduction and the resultant of p and dp/dv in v
-    reduces to the resultant of the images, which is nonzero.  False is
-    inconclusive."""
-    for base in POINT_BASES:
-        f = image(p.terms, base, P)
-        if f is None:
-            return False
-        n = len(f) - 1
-        if f[n] and n % P:
-            der = [i * c % P for i, c in enumerate(f)][1:]
-            return len(univar_gcd(f, der, P)) == 1
-    return False
 
 
 def poly_lcm(p, q):

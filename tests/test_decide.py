@@ -31,8 +31,9 @@ from wcfg import (
 )
 from wcfg.decide import _reconstruction_space
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
+from wcfg.linalg import nullspace, rref
 from wcfg.groebner import univar_gcd_squarefree, univar_polynomial
-from wcfg.modular import P, POINT_BASES, full_column_rank, no_root
+from wcfg.modular import POINT_BASES, no_root
 from wcfg.polynomials import coefficients_in_last
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
@@ -115,7 +116,6 @@ def test_fixture_reports(name):
 
 def test_an_inconclusive_rank_falls_back_to_the_exact_nullspace(monkeypatch):
     monkeypatch.setattr("wcfg.decide.no_root", lambda terms: None)
-    monkeypatch.setattr("wcfg.decide.full_column_rank", lambda rows, ncols: False)
     report = decide_parikh(load_fixture("catalan.wcfg"))
     assert render_report(report) == GOLDEN_REPORTS["catalan.wcfg"].replace(
         "discrimination_order: 0", "discrimination_order: 3")
@@ -131,17 +131,19 @@ def series_in_a(*coeffs):
 def test_reconstruction_space_certificate_and_its_inconclusive_branches():
     # with D = 0 the system is c*r1 = d through order 1: rows
     # (r1_0, -1) and (r1_1, 0), of full rank exactly when r1_1 != 0
-    assert _reconstruction_space(series_in_a(1, 2), 0, 1) == ([], f"rank mod {P}")
-    # full rank over Q, but the entry P vanishes modulo P
-    assert not full_column_rank([[1, -1], [P, 0]], 2)
-    assert _reconstruction_space(series_in_a(1, P), 0, 1) == ([], "exact nullspace")
-    # an entry whose denominator P divides has no residue; this matrix is
-    # singular over Q, and reading 1/P as 0 would make it regular mod P
-    assert not full_column_rank([[Fraction(1, P), 1], [1, P]], 2)
-    assert _reconstruction_space(series_in_a(1, Fraction(1, P)), 0, 1) == ([], "exact nullspace")
-    # rank deficient over Q: the exact nullspace finds c = d = 1
+    assert _reconstruction_space(series_in_a(1, 2), 0, 1) == []
+    # rank deficient: the exact nullspace finds c = d = 1
     one = Polynomial.const(("a",), 1)
-    assert _reconstruction_space(series_in_a(1, 0), 0, 1) == ([(one, one)], "exact nullspace")
+    assert _reconstruction_space(series_in_a(1, 0), 0, 1) == [(one, one)]
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_the_nullspace_is_annihilated_and_matches_the_rank(rows):
+    basis = nullspace(rows, 4)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+    # the row rank, by eliminating the transpose instead
+    assert len(basis) == 4 - len(rref([list(col) for col in zip(*rows)])[1])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
@@ -358,7 +360,7 @@ rule V3 -> a a : 1
 # Three more documents of that corpus.  On the first, an exact Fraction
 # nullspace that comes back empty takes a third of a second; on the
 # other two, the exact gcd of the certificate with its derivative runs
-# for more than ten seconds.  The certificates modulo P decide each in
+# for more than ten seconds.  The modular certificates decide each in
 # about a tenth of a second.
 MODULAR_CERTIFICATES = {
     "random-4x2x9-059": ('''\
@@ -377,7 +379,7 @@ rule V1 -> a V2 : 1
 rule V4 -> V3 V1 : -1
 ''', "3*V1^2 - (a + 6*b + 18*b^3)*V1"
          " + (a*b + 3*b^2 + a^2*b + 3*a*b^3 + 18*b^4 + 27*b^6)",
-        0, "fails", "no root mod 1009 at point 1000003"),
+        0, "fails", "no root mod 1009 at point 2718281"),
     "random-3x2x7-001": ('''\
 semiring Q
 terminals a b
@@ -393,7 +395,7 @@ rule V3 -> b V2 : 3
 ''', "9*b^2*V1^6 + (6*a*b^2 - 27*a*b^3)*V1^4 + (a^2*b^2 - 12*a^2*b^3 + 27*a^2*b^4)*V1^2"
          " + (8 - 32*b^2 + 32*b^4)*V1"
          " - (16*b^2 - 64*b^4 + a^3*b^3 + 64*b^6 - 6*a^3*b^4 + 9*a^3*b^5)",
-        0, "fails", "no root mod 1009 at point 1000003"),
+        0, "fails", "no root mod 1009 at point 2718281"),
     "random-4x2x9-111": ('''\
 semiring Q
 terminals a b
@@ -410,7 +412,7 @@ rule V3 -> V2 b V4 : -1/2
 rule V1 -> V3 b : -1
 ''', "b^4*V1^3 - (12*b^2 + 4*b^5 + a*b^5 - 2*a*b^6)*V1^2"
          " + (16 - 16*b^3 + 8*a*b^3 - 16*a*b^4 - 16*b^6)*V1 - (16*a*b - 32*a*b^2)",
-        0, "fails", "no root mod 1009 at point 2718281"),
+        0, "fails", "no root mod 1009 at point 1000003"),
 }
 # Two documents of that corpus (seed 1) on which the Groebner basis
 # computed over Q(a, b) ran past 90 s and 17 s, nearly all of it in the
@@ -523,7 +525,7 @@ def no_gcd_in_the_start_variable(monkeypatch, start):
 
 def check_pinned_document(monkeypatch, text, q, order, verdict, reason):
     g = parse_grammar(text)
-    # every pinned certificate is squarefree, proved modulo P
+    # every pinned certificate is squarefree, proved modulo a prime
     no_gcd_in_the_start_variable(monkeypatch, g.start)
     report = decide_parikh(g)
     assert (report.verdict, render_system_polynomial(report.q),
@@ -580,11 +582,12 @@ def certificate(g):
         eliminate_to_univariate(algebraic_system(g)), g.start))
 
 
-# A document of that corpus (seed 3) that the no-root proof cannot
-# decide: the discriminant 9*(1 + 4*b^2 - 4*a^2) of its certificate is
-# the square 9*(2*t^2 - 1)^2 at every point (t, t^2) of POINT_BASES, so
-# every image has a root, and the rank modulo P proves the verdict.
-ROOT_AT_EVERY_TRY = {
+# Documents of that corpus on which the no-root proof once found a root
+# at every try, so that the series decided them.  On the first, the
+# discriminant 9*(1 + 4*b^2 - 4*a^2) of the certificate is the square
+# 9*(2*t^2 - 1)^2 at every point (t, t^2); the points (t, t^3) lie off
+# that curve.
+OFF_CURVE_CERTIFICATES = {
     "random-3x2x7-106": ("""\
 semiring Q
 terminals a b
@@ -597,16 +600,50 @@ rule V1 -> V3 : 3
 rule V3 -> V3 V3 : -1
 rule V3 -> b b : 1
 rule V2 -> V1 b : -1/2
-""", "V1^2 + (3 - 2*b)*V1 - (3*b - 9*a^2 + 8*b^2)", 5, "fails",
-        f"empty space by rank mod {P} at order 5"),
+""", "V1^2 + (3 - 2*b)*V1 - (3*b - 9*a^2 + 8*b^2)", 0, "fails",
+        "no root mod 1009 at point 2718281"),
+    "random-4x2x9-113": ("""\
+semiring Q
+terminals a b
+variables V1 V2 V3 V4
+start V1
+rule V1 -> a : 1
+rule V2 -> b : 1
+rule V3 -> a a : -2
+rule V4 -> b : 1
+rule V4 -> V3 V3 : 1/2
+rule V1 -> a V2 : 1
+rule V2 -> b V4 V1 : -1
+rule V3 -> V4 : 2
+rule V4 -> V3 a : -1/2
+""", "(2 + a*b + a^2*b + 4*a^3*b + a^2*b^3 + a^5*b^2 + 2*a^6*b^2)*V1^2"
+         " - (4*a + 4*a*b + a^2*b + a^3*b + a^2*b^2 + 4*a^4*b + a^3*b^2 + 4*a^4*b^2)*V1"
+         " + (2*a^2 + 4*a^2*b + 2*a^2*b^2)",
+        0, "fails", "no root mod 1009 at point 1000003"),
+    "random-3x2x7-156": ("""\
+semiring Q
+terminals a b
+variables V1 V2 V3
+start V1
+rule V1 -> b : 2
+rule V2 -> a : 1
+rule V3 -> a b : 1/2
+rule V1 -> V3 b V1 : 1
+rule V1 -> a a : -2
+rule V2 -> V3 : 2
+rule V3 -> b V1 : 3/2
+""", "3*b^2*V1^2 - (2 - a*b^2)*V1 + (4*b - 4*a^2)", 0, "fails",
+        "no root mod 1009 at point 1000003"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROOT_AT_EVERY_TRY))
-def test_a_root_at_every_try_falls_through_to_the_rank(name, monkeypatch):
-    g = parse_grammar(ROOT_AT_EVERY_TRY[name][0])
-    assert no_root(univar_polynomial(certificate(g), g.start).terms) is None
-    check_pinned_document(monkeypatch, *ROOT_AT_EVERY_TRY[name])
+@pytest.mark.parametrize("name", sorted(OFF_CURVE_CERTIFICATES))
+def test_off_curve_points_prove_the_documents_that_escaped(name, monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series approximated")
+
+    monkeypatch.setattr("wcfg.decide.approximate", no_series)
+    check_pinned_document(monkeypatch, *OFF_CURVE_CERTIFICATES[name])
 
 
 SYMS = ("a", "X")
@@ -616,11 +653,14 @@ ONE = Polynomial.const(SYMS, 1)
 
 
 def image_mod(poly, p, base):
-    """Ascending coefficients in X of poly over (a, X) at a = base in
-    GF(p)."""
-    coeffs = [0] * (max(m[1] for m in poly.terms) + 1)
-    for (i, j), c in poly.terms.items():
-        coeffs[j] += c.numerator * pow(c.denominator, -1, p) * base ** i
+    """Ascending coefficients in X, the last symbol of poly, with the
+    i-th other symbol set to base^(2i + 1) in GF(p)."""
+    coeffs = [0] * (max(m[-1] for m in poly.terms) + 1)
+    for m, c in poly.terms.items():
+        value = c.numerator * pow(c.denominator, -1, p)
+        for i, e in enumerate(m[:-1]):
+            value *= pow(base, (2 * i + 1) * e, p)
+        coeffs[m[-1]] += value
     return [c % p for c in coeffs]
 
 
@@ -637,6 +677,17 @@ def check_no_root(poly, reason):
 def test_no_root_proves_an_irreducible_quadratic():
     # 11 is the least prime that is not a square modulo 1009
     check_no_root(X * X - A.scale(11), "no root mod 1009 at point 1000003")
+
+
+def test_no_root_proves_a_certificate_off_the_curve():
+    # the certificate of random-3x2x7-106: its discriminant
+    # 9*(1 + 4*b^2 - 4*a^2) is a square at every point (t, t^2), but not
+    # at the point (t, t^3) that the proof takes
+    syms = ("a", "b", "X")
+    a, b, x = (Polynomial.variable(syms, s) for s in syms)
+    three = Polynomial.const(syms, 3)
+    poly = x * x + (three - b.scale(2)) * x - (b.scale(3) - (a * a).scale(9) + (b * b).scale(8))
+    check_no_root(poly, "no root mod 1009 at point 2718281")
 
 
 def test_no_root_skips_a_prime_or_a_point():

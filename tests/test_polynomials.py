@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,9 +11,8 @@ from wcfg.errors import (
     SymbolMismatch,
     ZeroDenominator,
 )
-from wcfg.modular import P, POINT_BASES
+from wcfg.modular import POINT_BASES, PRIMES, coprime_to_derivative, images
 from wcfg.polynomials import (
-    _coprime_mod_p,
     poly_divexact,
     poly_gcd,
     poly_lcm,
@@ -220,7 +220,7 @@ def test_guarded_invariants_raise_typed_errors():
 
 
 # ---------------------------------------------------------------------------
-# squarefree part: the certificate modulo P and the exact gcd agree
+# squarefree part: the modular certificate and the exact gcd agree
 # ---------------------------------------------------------------------------
 
 SYMSX = ("a", "b", "X")
@@ -241,22 +241,35 @@ _lead = onex  # vanishes at every fixed evaluation point
 for _base in POINT_BASES:
     _lead = _lead * (ax - Polynomial.const(SYMSX, _base))
 _unlucky = _lead * X * X + bx * X + onex
-_denominator_p = X * X + ax.scale(Fraction(1, P)) * X + onex
+_primes = prod(PRIMES)
+_denominator_p = X * X + ax.scale(Fraction(1, _primes)) * X + onex
+_denominator_1009 = X * X + ax.scale(Fraction(1, 1009)) * X + onex
+_lead_primes = X * X.scale(_primes) - ax * X + onex
 
-# p, its squarefree part, and whether the certificate modulo P proves it
+# p, its squarefree part, and whether the modular certificate proves it
 SQUAREFREE_CASES = {
     "content": (_content * _quadratic, _quadratic.scale(Fraction(-3, 2)), True),
     "planted-square": ((_f * _f * _g).scale(Fraction(5, 7)), (_f * _g).scale(Fraction(5, 7)), False),
     "lead-vanishes": (_unlucky, _unlucky, False),
+    # every prime divides a denominator, so every prime is skipped
     "denominator-p": (_denominator_p, _denominator_p, False),
+    # 1009 is skipped, and the next prime proves it
+    "denominator-1009": (_denominator_1009, _denominator_1009, True),
+    # the lead vanishes modulo every prime, so no try is left
+    "lead-primes": (_lead_primes, _lead_primes, False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SQUAREFREE_CASES))
 def test_squarefree_part_with_and_without_the_certificate(name):
     p, part, proved = SQUAREFREE_CASES[name]
-    assert _coprime_mod_p(p) == proved
+    assert coprime_to_derivative(p.terms) == proved
     assert poly_squarefree(p) == exact_squarefree(p) == part
+
+
+def test_the_squarefree_tries_skip_a_prime_and_a_lead():
+    assert next(images(_denominator_1009.terms))[0] == PRIMES[1]
+    assert next(images(_lead_primes.terms), None) is None
 
 
 _monox = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
