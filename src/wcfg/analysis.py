@@ -6,13 +6,14 @@ derivation sequence exhibiting the offending behaviour, built from
 shortest paths so that witnesses are small and deterministic.
 """
 
+import heapq
+
 from .errors import ExpansiveGrammar
 from .trees import (
     ParseTree,
     SententialForm,
     combine_dimensions,
     min_yield_lengths,
-    tree_size,
 )
 
 
@@ -23,25 +24,36 @@ def nullable_variables(grammar):
 
 
 def _eps_trees(grammar, nullable):
-    """A smallest empty-yield parse tree for each nullable variable;
-    ties broken by rule declaration order."""
-    best = {}
-    changed = True
-    while changed:
-        changed = False
-        for ri, rule in enumerate(grammar.rules):
-            if rule.lhs not in nullable:
-                continue
-            if any(grammar.is_terminal(s) for s in rule.rhs):
-                continue
+    """A smallest empty-yield parse tree for each nullable variable, by
+    passes in rule declaration order until one changes nothing.  A pass
+    visits a rule only when a tree in its body shrank since its last
+    visit, and sizes are kept beside the trees, so none is walked."""
+    todo, users = [], {}
+    for ri, rule in enumerate(grammar.rules):
+        if rule.lhs in nullable and not any(grammar.is_terminal(s) for s in rule.rhs):
+            todo.append(ri)
+            for s in set(rule.rhs):
+                users.setdefault(s, []).append(ri)
+    best = {}  # variable -> (size, tree)
+    while todo:
+        queued, later = set(todo), set()
+        while todo:
+            ri = heapq.heappop(todo)
+            rule = grammar.rules[ri]
             if any(s not in best for s in rule.rhs):
                 continue
-            tree = ParseTree(ri, [best[s] for s in rule.rhs])
+            size = 1 + sum(best[s][0] for s in rule.rhs)
             old = best.get(rule.lhs)
-            if old is None or tree_size(tree) < tree_size(old):
-                best[rule.lhs] = tree
-                changed = True
-    return best
+            if old is None or size < old[0]:
+                best[rule.lhs] = (size, ParseTree(ri, [best[s][1] for s in rule.rhs]))
+                for rj in users.get(rule.lhs, ()):
+                    if rj <= ri:
+                        later.add(rj)  # this pass is past it
+                    elif rj not in queued:
+                        queued.add(rj)
+                        heapq.heappush(todo, rj)
+        todo = sorted(later)
+    return {v: tree for v, (_, tree) in best.items()}
 
 
 # --- cycle-freeness ------------------------------------------------------
@@ -136,16 +148,15 @@ def _occurrence_edges(grammar):
 def _reachability(grammar, edges):
     """reach[X] = variables occurring in some sentential form derivable
     from X (reflexive-transitive)."""
-    reach = {v: {v} for v in grammar.variables}
-    changed = True
-    while changed:
-        changed = False
-        for u in grammar.variables:
-            for v, _, _ in edges[u]:
-                add = reach[v] - reach[u]
-                if add:
-                    reach[u] |= add
-                    changed = True
+    reach = {}
+    for origin in grammar.variables:
+        seen, stack = {origin}, [origin]
+        while stack:
+            for v, _, _ in edges[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach[origin] = seen
     return reach
 
 
@@ -185,8 +196,10 @@ def is_nonexpansive(grammar):
     """
     edges = _occurrence_edges(grammar)
     reach = _reachability(grammar, edges)
+    # only a rule with two variable occurrences can duplicate one
+    branching = [(ri, r) for ri, r in enumerate(grammar.rules) if len(grammar.rhs_variables(r)) > 1]
     for x in grammar.variables:
-        for ri, rule in enumerate(grammar.rules):
+        for ri, rule in branching:
             if rule.lhs not in reach[x]:
                 continue
             spots = [

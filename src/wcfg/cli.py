@@ -90,7 +90,7 @@ def cmd_regularize(args):
 
 def cmd_decide(args):
     g = load_grammar(args.file)
-    report = decide_parikh(g, max_rounds=args.max_iters)
+    report = decide_parikh(g)
     print(render_report(report))
     if args.emit_witness:
         if report.witness is None:
@@ -164,7 +164,7 @@ def cmd_groebner(args):
 
 
 def nonnegative(text):
-    """Argument type for a nonnegative integer: a truncation order or a count."""
+    """Argument type for a nonnegative integer: a truncation order or a level."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
@@ -195,8 +195,6 @@ def build_parser():
     p = sub.add_parser("decide", help="decide the Parikh property (semiring Q)")
     p.add_argument("file")
     p.add_argument("--emit-witness", default=None, help="write the witness grammar here")
-    p.add_argument("--max-iters", type=nonnegative, default=12,
-                   help="cap on reconstruction rounds")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("equiv", help="compare truncated series of two documents")

@@ -9,9 +9,9 @@ when the squarefree annihilating polynomial has a linear factor with the
 series as its root.  The pipeline therefore eliminates down to one
 variable, clears denominators, and either reads the linear certificate
 off directly, proves that no linear factor exists because an image of
-the certificate modulo a small prime has no root, or hunts for a linear
-factor by reconstructing the series as a ratio of bounded-degree
-polynomials and checking divisibility symbolically.  A witness grammar
+the certificate modulo a small prime has no root, or reconstructs the
+series once as a ratio of bounded-degree polynomials and checks
+divisibility symbolically.  A witness grammar
 is rebuilt from the linear form X = s*X + t, whose fixed point is the
 series itself.
 """
@@ -55,12 +55,12 @@ class DecisionReport:
     grammar (holds only); basis_g the univariate element of the reduced
     basis, a monic view over Q(terminals);
     discrimination_order the series order that certified the verdict
-    (0 when no series was needed: a linear certificate, or a fails
-    proved modulo a prime); and reason the branch that certified it:
-    "linear certificate", "no root mod l at point t" (the prime l and
-    the point base t of modular.no_root), "reconstructed factor at order
-    n" or "empty space by exact nullspace at order n".  render_report
-    leaves the reason out.
+    (0 when no series was needed, otherwise 2D + 1 of _linear_factor);
+    and reason the branch that certified it: "linear certificate", "no
+    root mod l at point t" (the prime l and the point base t of
+    modular.no_root), "reconstructed factor at order n", "no linear
+    factor at order n" or "empty space by exact nullspace at order n".
+    render_report leaves the reason out.
     """
 
     verdict: str
@@ -101,16 +101,11 @@ def univariate_element(basis, name):
 def rational_reconstruct(r1, D, k):
     """A nonzero pair of terminal polynomials (c, d) of degree <= D with
     c*r1 = d up to series order k, or None when only the zero pair
-    works.  c is normalized to canonical (first ascending) coefficient
-    one.  With k >= 2D + 1 a persistent solution pins down a genuine
-    rational representation candidate."""
-    space = _reconstruction_space(r1, D, k)
-    return space[0] if space else None
-
-
-def _reconstruction_space(r1, D, k):
-    """All nullspace basis solutions of the truncated c*r1 - d = 0
-    system, as normalized (c, d) polynomial pairs."""
+    works: the first exact nullspace vector, with c normalized to
+    canonical (first ascending) coefficient one.  With k >= 2D it is
+    unique up to a factor: if r1 = d0/c0 with c0, d0 coprime of degree
+    <= D, then c*d0 - c0*d has degree <= 2D and vanishes through order
+    k, so it is zero."""
     monos = monomials_up_to_degree(len(r1.syms), D)
     rows = []
     for v in monomials_up_to_degree(len(r1.syms), k):
@@ -123,15 +118,14 @@ def _reconstruction_space(r1, D, k):
         for m in monos:  # d columns: -d contributes at its own monomial
             row.append(Fraction(-1) if m == v else Fraction(0))
         rows.append(row)
-    out = []
     for vec in nullspace(rows, 2 * len(monos)):
         c = Polynomial(r1.syms, {m: vec[i] for i, m in enumerate(monos)})
-        d = Polynomial(r1.syms, {m: vec[len(monos) + i] for i, m in enumerate(monos)})
         if c.is_zero():
-            continue  # c = 0 forces d = 0; not a representation
+            continue  # c = 0 forces d = 0 once k >= D; not a representation
+        d = Polynomial(r1.syms, {m: vec[len(monos) + i] for i, m in enumerate(monos)})
         _, first = c.first_term()
-        out.append((c.scale(1 / first), d.scale(1 / first)))
-    return out
+        return c.scale(1 / first), d.scale(1 / first)
+    return None
 
 
 def discriminate_factor(candidates, system, max_order=256):
@@ -174,7 +168,7 @@ def discriminate_factor(candidates, system, max_order=256):
     )
 
 
-def decide_parikh(g, max_rounds=12):
+def decide_parikh(g):
     """Decide the Parikh property of a rational-weighted cycle-free
     grammar; returns a DecisionReport either way.
 
@@ -182,11 +176,10 @@ def decide_parikh(g, max_rounds=12):
     witness grammar whose series equals the input's.  Degree two or
     more: first modular.no_root tries to prove that the certificate has
     no linear factor at all, from an image modulo a small prime with no
-    root; that proves fails at order 0.  Otherwise search for a linear
-    factor through the series — a reconstructed ratio that divides the
+    root; that proves fails at order 0.  Otherwise one reconstruction of
+    the series decides (_linear_factor): a ratio that divides the
     certificate symbolically and survives discrimination proves holds;
-    an empty reconstruction space proves no linear annihilator exists at
-    all, so the verdict is fails.
+    anything else proves that no linear annihilator exists: fails.
 
     Past the squarefree step the certificate, each candidate c*X - d
     and each cofactor are one Polynomial over the terminals plus X,
@@ -213,60 +206,49 @@ def decide_parikh(g, max_rounds=12):
     elif (proof := no_root(poly.terms)) is not None:
         linear, order, reason = None, 0, proof
     else:
-        linear, order, reason = _linear_factor(poly, system, max_rounds)
-    if linear is None:
-        return DecisionReport(
-            verdict="fails",
-            q=certificate,
-            witness=None,
-            basis_g=basis_g,
-            discrimination_order=order,
-            reason=reason,
-        )
-    minus_d, c = coefficients_in_last(linear)
+        linear, order, reason = _linear_factor(poly, system)
+    q, witness = certificate, None
+    if linear is not None:
+        minus_d, c = coefficients_in_last(linear)
+        q = clear_denominators(univar_from_polynomial(certificate, linear, name))
+        witness = grammar_from_linear(c, -minus_d, g.terminals, g.start)
     return DecisionReport(
-        verdict="holds",
-        q=clear_denominators(univar_from_polynomial(certificate, linear, name)),
-        witness=grammar_from_linear(c, -minus_d, g.terminals, g.start),
+        verdict="fails" if linear is None else "holds",
+        q=q,
+        witness=witness,
         basis_g=basis_g,
         discrimination_order=order,
         reason=reason,
     )
 
 
-def _linear_factor(poly, system, max_rounds):
+def _linear_factor(poly, system):
     """(c*X - d, order, reason): a linear factor of the certificate poly,
-    a Polynomial with X last, whose root is the start series; or None
-    when the reconstruction space at that order is empty, so that no
-    linear annihilator exists.  reason names which of the two certified
-    the verdict.
+    a Polynomial with X last, whose root is the start series, or None
+    when there is none; reason names what certified the verdict.
 
-    Round i reconstructs the series as a ratio of polynomials of degree
-    at most D, the largest degree among the certificate's coefficients,
-    at order (2D + 1) * 2**i."""
+    One reconstruction decides, at order 2D + 1, D the largest degree
+    among the certificate's coefficients in X.  If the series is d0/c0,
+    Gauss's lemma bounds the degrees of c0 and d0 by D, so the first
+    candidate is a multiple of (c0, d0) (rational_reconstruct)."""
     D = max(c.total_degree() for c in coefficients_in_last(poly))
-    orders = [(2 * D + 1) * 2 ** i for i in range(max_rounds)]
-    for order in orders:
-        r1 = approximate(system, order)[0]
-        space = _reconstruction_space(r1, D, order)
-        if not space:
-            return None, order, f"empty space by exact nullspace at order {order}"
-        for c, d in space:
-            # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
-            # exactly when c*X - d divides over Q(Sigma)
-            g = poly_gcd(c, d)
-            primitive = _linear(poly.syms, poly_divexact(c, g), poly_divexact(d, g))
-            try:
-                cofactor = poly_divexact(poly, primitive)
-            except NotDivisible:
-                continue
-            factor = _linear(poly.syms, c, d)
-            if discriminate_factor([factor, cofactor], system) == 0:
-                return factor, order, f"reconstructed factor at order {order}"
-    last = f"last order {orders[-1]}" if orders else "no order tried"
-    raise IterationCapExceeded(
-        f"no linear-factor certificate after {max_rounds} rounds ({last})"
-    )
+    order = 2 * D + 1
+    pair = rational_reconstruct(approximate(system, order)[0], D, order)
+    if pair is None:
+        return None, order, f"empty space by exact nullspace at order {order}"
+    c, d = pair
+    # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
+    # exactly when c*X - d divides over Q(Sigma)
+    g = poly_gcd(c, d)
+    primitive = _linear(poly.syms, poly_divexact(c, g), poly_divexact(d, g))
+    try:
+        cofactor = poly_divexact(poly, primitive)
+    except NotDivisible:
+        return None, order, f"no linear factor at order {order}"
+    factor = _linear(poly.syms, c, d)
+    if discriminate_factor([factor, cofactor], system) != 0:
+        return None, order, f"no linear factor at order {order}"
+    return factor, order, f"reconstructed factor at order {order}"
 
 
 def _linear(syms, c, d):

@@ -156,16 +156,18 @@ class SententialForm:
         """Derive `cell` to completion along `tree`, each subtree to the
         end before the next; ``child_order(grammar, rule, children)``
         picks their order (a permutation of child indices) and defaults
-        to left-to-right."""
-        rule = grammar.rules[tree.rule]
-        fresh = self.apply(cell, tree.rule, rule)
-        var_cells = [c for c in fresh if grammar.is_variable(c.sym)]
-        if child_order is None:
-            order = range(len(tree.children))
-        else:
-            order = child_order(grammar, rule, tree.children)
-        for j in order:
-            self.expand_by_tree(var_cells[j], tree.children[j], grammar, child_order)
+        to left-to-right.  The stack is explicit, so depth is no limit."""
+        stack = [(cell, tree)]
+        while stack:
+            cell, tree = stack.pop()
+            rule = grammar.rules[tree.rule]
+            fresh = self.apply(cell, tree.rule, rule)
+            var_cells = [c for c in fresh if grammar.is_variable(c.sym)]
+            if child_order is None:
+                order = range(len(tree.children))
+            else:
+                order = child_order(grammar, rule, tree.children)
+            stack.extend((var_cells[j], tree.children[j]) for j in reversed(list(order)))
 
     def derivation(self):
         return DerivationSequence((self.root.sym,), self.steps)

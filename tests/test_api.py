@@ -1,12 +1,14 @@
 """The package namespace, its __all__ and the README agree on the public
 API."""
 
+import argparse
 import ast
 import re
 import types
 from pathlib import Path
 
 import wcfg
+from wcfg import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -46,3 +48,24 @@ def test_the_package_has_no_assert_statements():
     for path in sorted((ROOT / "src" / "wcfg").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
+
+
+def readme_cli_options():
+    """{subcommand: set of --options} from the README's Command line
+    synopsis, comments left out."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.S).group(1)
+    out = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["wcfg"]:
+            out[words[1]] = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+    return out
+
+
+def test_the_readme_synopsis_lists_exactly_the_cli_options():
+    subparsers = next(action for action in cli.PARSER._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {option for action in sub._actions for option in action.option_strings}
+              - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    assert readme_cli_options() == parsed

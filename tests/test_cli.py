@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from wcfg import dimension_bound, grammar_series, load_grammar, parse_grammar
+from wcfg import (
+    dimension_bound,
+    grammar_series,
+    is_cycle_free,
+    load_grammar,
+    parse_grammar,
+    replay_derivation,
+)
 from wcfg.cli import main
 
 from fixtures import GRAMMARS_DIR, fixture_path
@@ -47,6 +54,34 @@ def test_check_cyclic_grammar(tmp_path, capsys):
     assert code == 0
     assert "cycle_free: false" in out
     assert "cycle_witness: X -> Y -> X" in out
+
+
+def deep_nullable_chain(path, n, semiring):
+    """S -> S N0 with the nullable unit chain N0 -> N1 -> ... -> eps of
+    length n: a cycle S => S whose witness derivation is n + 1 steps deep."""
+    rules = ["S -> S N0", "S -> a"] + [f"N{i} -> N{i + 1}" for i in range(n - 1)]
+    path.write_text(
+        f"semiring {semiring}\nterminals a\n"
+        f"variables S {' '.join(f'N{i}' for i in range(n))}\nstart S\n"
+        + "".join(f"rule {r} : 1\n" for r in rules) + f"rule N{n - 1} -> eps : 1\n")
+    return str(path)
+
+
+def test_a_deep_nullable_chain_is_a_cycle_not_a_traceback(tmp_path, capsys):
+    doc = deep_nullable_chain(tmp_path / "chain.wcfg", 1500, "N")
+    code, out, _ = run(capsys, "check", doc)
+    assert code == 0
+    assert "cycle_witness: S -> S" in out.splitlines()
+    g = load_grammar(doc)
+    forms = replay_derivation(g, is_cycle_free(g)[1].derivation)
+    assert (len(forms), forms[-1]) == (1502, ("S",))
+    code, out, err = run(capsys, "series", doc, "--order", "3")
+    assert (code, out) == (3, "")
+    assert "not cycle-free" in err
+    doc = deep_nullable_chain(tmp_path / "chain_q.wcfg", 1500, "Q")
+    code, out, err = run(capsys, "decide", doc)
+    assert (code, out) == (3, "")
+    assert "not cycle-free" in err
 
 
 def test_series_subcommand(capsys):
@@ -233,7 +268,6 @@ def test_non_utf8_document_is_a_format_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("series", "catalan.wcfg", "--order", "-1"),
     ("equiv", "catalan.wcfg", "catalan.wcfg", "--order", "-3"),
-    ("decide", "catalan.wcfg", "--max-iters", "-1"),
     ("regularize", "binary_tail.wcfg", "--k", "-1"),
 ])
 def test_negative_order_is_a_usage_error(argv, capsys):

@@ -12,6 +12,7 @@ from wcfg import (
     IterationCapExceeded,
     NotCycleFree,
     Polynomial,
+    RationalFunction,
     SystemPolynomial,
     WrongSemiring,
     algebraic_system,
@@ -28,12 +29,13 @@ from wcfg import (
     rational_reconstruct,
     render_report,
     render_system_polynomial,
+    series_expand,
 )
-from wcfg.decide import _reconstruction_space
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
 from wcfg.linalg import nullspace, rref
 from wcfg.groebner import univar_gcd_squarefree, univar_polynomial
 from wcfg.modular import POINT_BASES, no_root
+from wcfg.monomials import monomials_up_to_degree
 from wcfg.polynomials import coefficients_in_last
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
@@ -128,13 +130,37 @@ def series_in_a(*coeffs):
                            {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
 
-def test_reconstruction_space_certificate_and_its_inconclusive_branches():
+def test_rational_reconstruct_certificate_and_its_empty_branch():
     # with D = 0 the system is c*r1 = d through order 1: rows
     # (r1_0, -1) and (r1_1, 0), of full rank exactly when r1_1 != 0
-    assert _reconstruction_space(series_in_a(1, 2), 0, 1) == []
+    assert rational_reconstruct(series_in_a(1, 2), 0, 1) is None
     # rank deficient: the exact nullspace finds c = d = 1
     one = Polynomial.const(("a",), 1)
-    assert _reconstruction_space(series_in_a(1, 0), 0, 1) == [(one, one)]
+    assert rational_reconstruct(series_in_a(1, 0), 0, 1) == (one, one)
+
+
+@st.composite
+def bounded_ratios(draw):
+    """(D, c0, d0): polynomials of degree at most D <= 2 in one or two
+    symbols, c0 with a nonzero constant term."""
+    syms = ("a", "b")[:draw(st.integers(1, 2))]
+    D = draw(st.integers(0, 2))
+    monos = monomials_up_to_degree(len(syms), D)
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+    c0 = dict(zip(monos, draw(coeffs)))
+    c0[(0,) * len(syms)] = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    d0 = dict(zip(monos, draw(coeffs)))
+    return D, Polynomial(syms, c0), Polynomial(syms, d0)
+
+
+@given(bounded_ratios())
+@settings(max_examples=60, deadline=None)
+def test_order_2d_plus_1_pins_down_a_bounded_ratio(case):
+    # c*d0 - c0*d has degree <= 2D and vanishes through order 2D + 1
+    D, c0, d0 = case
+    order = 2 * D + 1
+    c, d = rational_reconstruct(series_expand(RationalFunction(d0, c0), order), D, order)
+    assert c * d0 == c0 * d
 
 
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=5))
@@ -282,23 +308,43 @@ def test_discriminate_factor_prefers_the_annihilating_candidate():
 
 
 def test_reconstruction_succeeds_within_the_first_round():
-    # the first reconstruction order 2D+1 already pins down the factor,
-    # so even the tightest round budget resolves this grammar
+    # the one reconstruction order 2D+1 = 11 pins down the factor
     g = load_fixture("catalan_cancellation.wcfg")
-    report = decide_parikh(g, max_rounds=1)
+    report = decide_parikh(g)
     assert report.verdict == "holds"
     assert report.discrimination_order == 11
 
 
-def test_round_cap_names_the_last_order_tried(monkeypatch):
-    g = load_fixture("catalan_cancellation.wcfg")
-    with pytest.raises(IterationCapExceeded, match=r"after 0 rounds \(no order tried\)"):
-        decide_parikh(g, max_rounds=0)
-    # with discrimination always rejecting the linear factor, every
-    # round runs: orders 11 and 22
+def test_a_cofactor_that_wins_discrimination_proves_fails(monkeypatch):
     monkeypatch.setattr("wcfg.decide.discriminate_factor", lambda candidates, system: 1)
-    with pytest.raises(IterationCapExceeded, match=r"after 2 rounds \(last order 22\)"):
-        decide_parikh(g, max_rounds=2)
+    report = decide_parikh(load_fixture("catalan_cancellation.wcfg"))
+    assert (report.verdict, report.discrimination_order, report.reason) == \
+        ("fails", 11, "no linear factor at order 11")
+
+
+def test_a_candidate_that_does_not_divide_proves_fails(monkeypatch):
+    # random-3x2x7-073 of the decide-q benchmark corpus (seed 1): the
+    # first candidate at order 2D+1 = 5 does not divide the certificate
+    g = parse_grammar("""\
+semiring Q
+terminals a b
+variables V1 V2 V3
+start V1
+rule V1 -> a b : 1
+rule V2 -> b a : 3
+rule V3 -> b : 1/2
+rule V3 -> a : 1
+rule V2 -> V3 a a : -2
+rule V1 -> V1 V1 : -1
+rule V3 -> V1 V1 V3 : -1/2
+""")
+    report = decide_parikh(g)
+    assert report.reason == "no root mod 1013 at point 1000003"
+    monkeypatch.setattr("wcfg.decide.no_root", lambda terms: None)
+    forced = decide_parikh(g)
+    assert render_report(forced) == render_report(report).replace(
+        "discrimination_order: 0", "discrimination_order: 5")
+    assert forced.reason == "no linear factor at order 5"
 
 
 def test_discriminate_factor_rejects_a_candidate_over_other_symbols():
@@ -753,3 +799,5 @@ def test_the_no_root_proof_agrees_with_the_reconstruction(seed, shape):
         reconstructed = decide_parikh(g)
     assert (reconstructed.verdict, render_system_polynomial(reconstructed.q)) == \
         ("fails", render_system_polynomial(report.q))
+    coeffs = coefficients_in_last(univar_polynomial(certificate(g), g.start))
+    assert reconstructed.discrimination_order == 2 * max(c.total_degree() for c in coeffs) + 1

@@ -94,6 +94,24 @@ def test_derivation_from_tree_honours_child_order():
     assert replay_derivation(BT, d_right)[-1] == tree_yield(BT, TALL)
 
 
+def test_derivation_from_tree_runs_each_subtree_to_the_end_first():
+    # steps are (position, rule), in pre-order: the first child's child
+    # (rule 2 at position 2) comes before the second child (at position 3)
+    assert derivation_from_tree(BT, TALL).steps == ((0, 0), (1, 1), (2, 2), (3, 2))
+    reverse = lambda g, r, cs: list(range(len(cs) - 1, -1, -1))
+    assert derivation_from_tree(BT, TALL, child_order=reverse).steps == \
+        ((0, 0), (2, 2), (1, 1), (2, 2))
+
+
+def test_derivation_from_a_deep_tree():
+    # X2 -> b X2 nested 3000 times: deeper than the Python call stack
+    tree = LEAF
+    for _ in range(3000):
+        tree = ParseTree(1, [tree])
+    steps = derivation_from_tree(BT, ParseTree(0, [tree, LEAF])).steps
+    assert (len(steps), steps[-2], steps[-1]) == (3003, (3001, 2), (3002, 2))
+
+
 def test_min_yield_lengths():
     lengths = min_yield_lengths(BT)
     assert lengths["X2"] == 1
