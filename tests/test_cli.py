@@ -268,6 +268,7 @@ def test_non_utf8_document_is_a_format_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("series", "catalan.wcfg", "--order", "-1"),
     ("equiv", "catalan.wcfg", "catalan.wcfg", "--order", "-3"),
+    ("series", "catalan.wcfg", "--order=-2"),
     ("regularize", "binary_tail.wcfg", "--k", "-1"),
 ])
 def test_negative_order_is_a_usage_error(argv, capsys):
