@@ -21,6 +21,7 @@ from wcfg import (
     system_polynomials,
     univar_gcd_squarefree,
 )
+from wcfg.groebner import reduce_basis
 
 print("=" * 70)
 print("1. The equation system of a grammar")
@@ -38,7 +39,7 @@ print("=" * 70)
 
 # The order eliminates later variables first, so the basis solves the
 # system bottom-up: each element is a variable minus a closed form.
-basis = groebner_basis(polys)
+basis = reduce_basis(groebner_basis(polys))
 for p in basis:
     print(" ", render_system_polynomial(p))
 

@@ -30,7 +30,7 @@ from .errors import (
     WrongSemiring,
 )
 from .grammar import load_grammar, render_grammar
-from .groebner import groebner_basis, render_system_polynomial, system_polynomials
+from .groebner import groebner_basis, reduce_basis, render_system_polynomial, system_polynomials
 from .monomials import grade_key, render_monomial
 from .regularize import level_of, regularize
 from .series import algebraic_system, grammar_series, render_series
@@ -154,7 +154,7 @@ def cmd_groebner(args):
             f"the basis computation needs semiring Q, got {g.semiring.name}"
         )
     system = algebraic_system(g)
-    basis = groebner_basis(system_polynomials(system))
+    basis = reduce_basis(groebner_basis(system_polynomials(system)))
     print("basis:")
     for element in basis:
         print(render_system_polynomial(element))

@@ -72,13 +72,14 @@ class DecisionReport:
 
 
 def eliminate_to_univariate(system):
-    """The unique member of the reduced Groebner basis of {Xi - p_i}
-    involving only the start variable, by univariate_element."""
+    """The member of the Groebner basis of {Xi - p_i} involving only the
+    start variable, by univariate_element: the lowest element of the
+    minimal basis, which is already the reduced basis's."""
     return univariate_element(groebner_basis(system_polynomials(system)), system.variables[0])
 
 
 def univariate_element(basis, name):
-    """The unique member of a reduced basis of a system's ideal that
+    """The unique member of a minimal basis of a system's ideal that
     involves only the start variable `name`.
 
     The elimination order sorts the start variable last, so the basis of
@@ -89,11 +90,11 @@ def univariate_element(basis, name):
     found = [p for p in basis if p.uses_only(name) and p.degree_in(name) >= 1]
     if not found:
         raise NoUnivariateElement(
-            f"reduced basis has no element univariate in {name}"
+            f"basis has no element univariate in {name}"
         )
-    if len(found) > 1:  # a reduced basis cannot: one lead would divide the other
+    if len(found) > 1:  # a minimal basis cannot: one lead would divide the other
         raise NoUnivariateElement(
-            f"reduced basis has {len(found)} elements univariate in {name}"
+            f"basis has {len(found)} elements univariate in {name}"
         )
     return found[0]
 

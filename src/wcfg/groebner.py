@@ -11,9 +11,10 @@ contains a generator of its K[X1] slice whenever one exists.
 Buchberger's algorithm runs fraction-free over Q[terminals]: a
 division step scales the dividend by a polynomial instead of dividing
 by a leading coefficient, a change by a nonzero factor of the field
-K = Q(terminals) only.  The reduced basis is returned as monic views
-over K (SystemPolynomial.monic); every function taking system
-polynomials clears a view's denominators first.
+K = Q(terminals) only.  The minimal basis is returned as monic views
+over K (SystemPolynomial.monic), and reduce_basis makes it the reduced
+one; every function taking system polynomials clears a view's
+denominators first.
 """
 
 import heapq
@@ -271,33 +272,67 @@ def s_polynomial(f, g):
 
 def buchberger(generators):
     """A Groebner basis of the ideal of the generators, each element
-    primitive over Q[terminals].
+    primitive over Q[terminals]: the live elements, in the order found.
 
-    Normal pair selection (smallest leading-monomial lcm first, ties by
-    index pair) with the coprime-leading-monomial skip."""
-    basis = [f.primitive() for f in generators if not f.is_zero()]
+    Each element enters through update(), Gebauer and Moeller's
+    installation (1988; Becker & Weispfenning, p. 230).  A pending pair
+    (i, j) is dropped when the new lead divides lcm(i, j) and differs
+    from both lcm(i, new) and lcm(j, new) (criterion B_k).  Of the new
+    pairs (k, new), one whose lcm another new pair's lcm divides is
+    dropped, one of equal lcms kept (M); the coprime ones go after that
+    filter (F).  An element whose lead the new lead divides retires; its
+    pending pairs stay.  Normal selection takes the smallest lcm first,
+    ties by index pair, and S-polynomials reduce modulo the live
+    elements."""
+    basis, leads, live, pairs = [], [], [], []
+
+    def update(f):
+        new, lead = len(basis), f.lead_monomial()
+
+        def coprime(k):
+            return mono_is_one(mono_gcd(leads[k], lead))
+
+        def survives(i, j):
+            l = mono_lcm(leads[i], leads[j])
+            return (not mono_divides(lead, l)
+                    or mono_lcm(leads[i], lead) == l or mono_lcm(leads[j], lead) == l)
+
+        fresh = [(mono_lcm(leads[k], lead), k) for k in live]
+        kept = []
+        for n, (l, k) in enumerate(fresh):
+            if coprime(k) or not any(mono_divides(m, l) for m, _ in kept + fresh[n + 1:]):
+                kept.append((l, k))
+        pairs[:] = [p for p in pairs if survives(*p[1])]
+        pairs.extend((lex_key(l), (k, new)) for l, k in kept if not coprime(k))
+        heapq.heapify(pairs)
+        live[:] = [k for k in live if not mono_divides(lead, leads[k])]
+        live.append(new)
+        basis.append(f)
+        leads.append(lead)
+
+    for f in generators:
+        if not f.is_zero():
+            update(f.primitive())
     if not basis:
         raise ValueError("cannot take a Groebner basis of the zero ideal alone")
-    leads = [f.lead_monomial() for f in basis]
-    pairs = []
-
-    def add_pairs(new):
-        for k in range(new):
-            heapq.heappush(pairs, (lex_key(mono_lcm(leads[k], leads[new])), (k, new)))
-
-    for new in range(1, len(basis)):
-        add_pairs(new)
     while pairs:
         _, (i, j) = heapq.heappop(pairs)
-        if mono_is_one(mono_gcd(leads[i], leads[j])):
-            continue
-        r = poly_reduce(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
-            continue
-        basis.append(r)
-        leads.append(r.lead_monomial())
-        add_pairs(len(basis) - 1)
-    return basis
+        r = poly_reduce(s_polynomial(basis[i], basis[j]), [basis[k] for k in live])
+        if not r.is_zero():
+            update(r)
+    return [basis[k] for k in live]
+
+
+def minimal_basis(basis):
+    """The nonzero elements cleared and sorted by ascending lead, less
+    each one whose lead a lower kept lead divides: a minimal Groebner
+    basis when the input is a Groebner basis."""
+    kept = []
+    for g in sorted((g.cleared() for g in basis if not g.is_zero()),
+                    key=lambda g: lex_key(g.lead_monomial())):
+        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in kept):
+            kept.append(g)
+    return kept
 
 
 def reduce_basis(basis):
@@ -305,26 +340,28 @@ def reduce_basis(basis):
     inter-reduced, sorted by ascending leading monomial.  Unique for the
     ideal and order.
 
-    One ascending pass builds it.  An element whose lead an earlier kept
-    lead divides is dropped; a kept one is reduced by the reduced
-    elements below it only, since a lead dividing a term is at most that
-    term, so no higher lead acts on it.  The remainder keeps its lead
-    and has no other term in the leading-term ideal; made monic, it is
-    the unique reduced basis element with this lead (Cox, Little &
-    O'Shea, ch. 2 section 7).  The lowest element, univariate in the
-    start variable for a decide system, has nothing below it."""
-    work = sorted((g.cleared() for g in basis if not g.is_zero()),
-                  key=lambda g: lex_key(g.lead_monomial()))
+    One ascending pass over minimal_basis builds it: each element is
+    reduced by the reduced elements below it only, since a lead dividing
+    a term is at most that term, so no higher lead acts on it.  The
+    remainder keeps its lead and has no other term in the leading-term
+    ideal; made monic, it is the unique reduced basis element with this
+    lead (Cox, Little & O'Shea, ch. 2 section 7).  The lowest element,
+    univariate in the start variable for a decide system, has nothing
+    below it."""
     reduced = []
-    for g in work:
-        if not any(mono_divides(h.lead_monomial(), g.lead_monomial()) for h in reduced):
-            reduced.append(poly_reduce(g, reduced))
+    for g in minimal_basis(basis):
+        reduced.append(poly_reduce(g, reduced))
     return [g.monic() for g in reduced]
 
 
 def groebner_basis(generators):
-    """Reduced Groebner basis of the generators, in one call."""
-    return reduce_basis(buchberger(generators))
+    """The minimal Groebner basis of the generators, by buchberger and
+    minimal_basis: no lead divides another, each element a monic view,
+    sorted by ascending lead.  reduce_basis makes it the unique reduced
+    basis; its lowest element already is the reduced one when it is
+    univariate in the start variable, since every term below a pure
+    power of X1 is a lower one, which no lead of the basis divides."""
+    return [g.monic() for g in minimal_basis(buchberger(generators))]
 
 
 # --- univariate polynomials in the start variable --------------------

@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from wcfg import (
     SystemPolynomial,
     algebraic_system,
     clear_denominators,
+    decide_parikh,
     eliminate_to_univariate,
     groebner_basis,
     load_grammar,
@@ -23,7 +25,7 @@ from wcfg.cli import main
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
 from wcfg.groebner import (buchberger, lex_key, reduce_basis, s_polynomial,
                            univar_from_polynomial, univar_polynomial)
-from wcfg.monomials import mono_divides
+from wcfg.monomials import mono_divides, mono_gcd, mono_is_one, mono_lcm
 from wcfg.polynomials import coefficients_in_last, poly_gcd, rational_content
 
 from fixtures import GRAMMARS_DIR, deadline, fixture_path, load_fixture
@@ -137,7 +139,7 @@ def test_binary_tail_basis_golden():
 
 def test_two_letter_star_cfl_basis_golden():
     g = load_fixture("two_letter_star_cfl.wcfg")
-    basis = groebner_basis(system_polynomials(algebraic_system(g)))
+    basis = reduce_basis(groebner_basis(system_polynomials(algebraic_system(g))))
     rendered = [render_system_polynomial(p) for p in basis]
     assert len(rendered) == 5
     assert rendered[0] == "X2 - (1)/(1 - a - abar)"
@@ -147,7 +149,7 @@ def test_two_letter_star_cfl_basis_golden():
 
 def test_unary_double_basis_golden():
     g = load_fixture("unary_double.wcfg")
-    basis = groebner_basis(system_polynomials(algebraic_system(g)))
+    basis = reduce_basis(groebner_basis(system_polynomials(algebraic_system(g))))
     rendered = [render_system_polynomial(p) for p in basis]
     assert rendered[0] == "X - (1)/(1 - 2*a)"
     assert rendered[1] == (
@@ -214,31 +216,40 @@ def test_groebner_subcommand_golden(stem, capsys):
     assert capsys.readouterr().out == "\n".join(GROEBNER_STDOUT[stem]) + "\n"
 
 
-def test_groebner_subcommand_computes_one_basis(monkeypatch, capsys):
-    module = importlib.import_module("wcfg.groebner")
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
     calls = []
-    buchberger = module.buchberger
+    inner = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
-        return buchberger(*args)
+        return inner(*args)
 
-    monkeypatch.setattr(module, "buchberger", counted)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_groebner_subcommand_computes_one_basis(monkeypatch, capsys):
+    # each wrapped at the name its caller looks up
+    calls = count_calls(monkeypatch, importlib.import_module("wcfg.groebner"), "buchberger")
+    reductions = count_calls(monkeypatch, importlib.import_module("wcfg.cli"), "reduce_basis")
     assert main(["groebner", fixture_path("unary_double.wcfg")]) == 0
     assert capsys.readouterr().out == "\n".join(GROEBNER_STDOUT["unary_double"]) + "\n"
     assert len(calls) == 1
+    assert len(reductions) == 1
 
 
 def test_basis_is_invariant_under_generator_permutation_and_scaling():
     g = load_fixture("unary_double.wcfg")
     gens = system_polynomials(algebraic_system(g))
-    reference = {render_system_polynomial(p) for p in groebner_basis(gens)}
+    reference = {render_system_polynomial(p) for p in reduce_basis(groebner_basis(gens))}
     rng = random.Random(7)
     for _ in range(3):
         shuffled = list(gens)
         rng.shuffle(shuffled)
         scaled = [p.scale(rng.choice([2, -1, Fraction(1, 3)])) for p in shuffled]
-        assert {render_system_polynomial(p) for p in groebner_basis(scaled)} == reference
+        assert ({render_system_polynomial(p) for p in reduce_basis(groebner_basis(scaled))}
+                == reference)
 
 
 def test_random_systems_reduce_their_generators_to_zero():
@@ -268,7 +279,7 @@ def test_the_unit_ideal_of_a_system_with_swelling_gcds():
 
 def random_reduced_bases(count):
     rng = random.Random(20260822)  # the systems of the test above
-    return [groebner_basis(random_system(rng)) for _ in range(count)]
+    return [reduce_basis(groebner_basis(random_system(rng))) for _ in range(count)]
 
 
 def test_reduce_basis_output_is_reduced():
@@ -300,15 +311,94 @@ def reduce_by_all_others(basis):
             for i, g in enumerate(minimal)]
 
 
+def shipped_q_systems():
+    return [system_polynomials(algebraic_system(load_grammar(path)))
+            for path in sorted(GRAMMARS_DIR.glob("*.wcfg"))
+            if load_grammar(path).semiring.keyword == "Q"]
+
+
 def test_reduce_basis_agrees_with_reducing_by_all_others():
     rng = random.Random(20260822)  # the systems of the tests above
-    systems = [random_system(rng) for _ in range(25)]
-    systems += [system_polynomials(algebraic_system(load_grammar(path)))
-                for path in sorted(GRAMMARS_DIR.glob("*.wcfg"))
-                if load_grammar(path).semiring.keyword == "Q"]
+    systems = [random_system(rng) for _ in range(25)] + shipped_q_systems()
     for gens in systems:
         basis = buchberger(gens)
         assert reduce_basis(basis) == reduce_by_all_others(basis)
+
+
+def buchberger_coprime_skip(generators):
+    """Reference Buchberger: every pair is formed and taken smallest lcm
+    first, ties by index pair; only coprime-lead pairs are skipped, and
+    S-polynomials reduce modulo every element found.  It calls
+    s_polynomial and poly_reduce through the module, as buchberger does."""
+    module = importlib.import_module("wcfg.groebner")
+    basis = [f.primitive() for f in generators if not f.is_zero()]
+    leads = [f.lead_monomial() for f in basis]
+    pairs = [(lex_key(mono_lcm(leads[i], leads[j])), (i, j))
+             for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
+    while pairs:
+        _, (i, j) = heapq.heappop(pairs)
+        if mono_is_one(mono_gcd(leads[i], leads[j])):
+            continue
+        r = module.poly_reduce(module.s_polynomial(basis[i], basis[j]), basis)
+        if r.is_zero():
+            continue
+        basis.append(r)
+        leads.append(r.lead_monomial())
+        for k in range(len(basis) - 1):
+            heapq.heappush(pairs, (lex_key(mono_lcm(leads[k], leads[-1])), (k, len(basis) - 1)))
+    return basis
+
+
+def assert_minimal_groebner_basis(basis):
+    """Monic, ascending, no lead dividing another, and every S-pair
+    reducing to zero modulo the basis."""
+    leads = [g.lead_monomial() for g in basis]
+    assert all(g.lead_term()[1].is_one() for g in basis)
+    assert leads == sorted(leads, key=lex_key)
+    for i, lead in enumerate(leads):
+        assert not any(mono_divides(lead, other) for other in leads[:i] + leads[i + 1:])
+    for i, f in enumerate(basis):
+        for h in basis[i + 1:]:
+            assert poly_reduce(s_polynomial(f, h), basis).is_zero()
+
+
+def assert_agrees_with_the_reference(gens):
+    basis = groebner_basis(gens)
+    assert_minimal_groebner_basis(basis)
+    assert reduce_basis(basis) == reduce_basis(buchberger_coprime_skip(gens))
+
+
+def test_groebner_basis_agrees_with_the_coprime_skip_reference():
+    rng = random.Random(20260822)  # the systems of the tests above
+    systems = [random_system(rng) for _ in range(25)]
+    rng = random.Random(20261018)  # the draws before the swelling one
+    systems += [random_system(rng) for _ in range(19)]
+    for gens in systems + shipped_q_systems():
+        assert_agrees_with_the_reference(gens)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_groebner_basis_agrees_with_the_reference_on_random_systems(seed):
+    assert_agrees_with_the_reference(random_system(random.Random(seed)))
+
+
+def test_pair_criteria_skip_s_polynomials_on_unary_double(monkeypatch):
+    gens = system_polynomials(algebraic_system(load_fixture("unary_double.wcfg")))
+    calls = count_calls(monkeypatch, importlib.import_module("wcfg.groebner"), "s_polynomial")
+    basis = buchberger(gens)
+    formed = len(calls)
+    calls.clear()
+    assert reduce_basis(buchberger_coprime_skip(gens)) == reduce_basis(basis)
+    assert (formed, len(calls)) == (7, 15)
+
+
+def test_decide_reads_the_minimal_basis_without_reducing_it(monkeypatch):
+    calls = count_calls(monkeypatch, importlib.import_module("wcfg.groebner"), "reduce_basis")
+    report = decide_parikh(load_fixture("catalan_cancellation.wcfg"))
+    assert report.verdict == "holds"
+    assert calls == []
 
 
 def test_normal_forms_are_canonical():
