@@ -86,65 +86,16 @@ def _cycle_edges(grammar, nullable):
     return edges
 
 
-def _components(edges):
-    """Map each vertex of an edge map to a representative of its
-    strongly connected component, by an iterative Tarjan search."""
-    index, low, comp, stack = {}, {}, {}, []
-    for root in edges:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(edges[root]))]
-        while work:
-            u, out = work[-1]
-            for v, _, _ in out:
-                if v not in index:
-                    index[v] = low[v] = len(index)
-                    stack.append(v)
-                    work.append((v, iter(edges[v])))
-                    break
-                if v not in comp:  # still on the stack
-                    low[u] = min(low[u], index[v])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
-                if low[u] == index[u]:
-                    while True:
-                        v = stack.pop()
-                        comp[v] = u
-                        if v == u:
-                            break
-    return comp
-
-
-def _shortest_cycle(edges):
-    """(origin, hops) of a shortest cycle in an edge map, the first
-    origin in the map's order winning ties, or None when it has none.
-
-    Every cycle through a vertex stays inside its strongly connected
-    component, so the breadth-first search runs on the edges inside
-    components only, and only from a vertex with such an edge.  The
-    search meets the component's vertices in the same order as on the
-    whole map, so the result is that of a search from every vertex."""
-    comp = _components(edges)
-    inner = {u: [e for e in out if comp[e[0]] == comp[u]] for u, out in edges.items()}
-    best = None
-    for origin, out in inner.items():
-        if out:
-            hops = _shortest_path(origin, origin, inner)
-            if best is None or len(hops) < len(best[1]):
-                best = (origin, hops)
-    return best
-
-
 def is_cycle_free(grammar):
     """(True, None) when no variable derives exactly itself; otherwise
-    (False, CycleWitness) for a shortest such cycle, the first variable
-    in declaration order winning ties."""
+    (False, CycleWitness) for a shortest such cycle."""
     nullable = nullable_variables(grammar)
-    best = _shortest_cycle(_cycle_edges(grammar, nullable))
+    edges = _cycle_edges(grammar, nullable)
+    best = None
+    for origin in grammar.variables:
+        hops = _shortest_path(origin, origin, edges)
+        if hops is not None and (best is None or len(hops) < len(best[1])):
+            best = (origin, hops)
     if best is None:
         return True, None
     origin, hops = best

@@ -9,12 +9,9 @@ from wcfg import (
     parse_grammar,
     replay_derivation,
 )
-from wcfg.analysis import (_components, _cycle_edges, _shortest_cycle, _shortest_path,
-                           nullable_variables)
-from wcfg.grammar import Grammar, Rule
+from wcfg.analysis import nullable_variables
 
 from fixtures import load_fixture
-from grammar_gen import random_nonexpansive_family
 
 
 def doc(rules, variables="X Y Z", terminals="a b", start=None, semiring="Q"):
@@ -154,65 +151,6 @@ def test_cycle_witness_golden_prefers_a_shorter_later_cycle():
     assert witness.variables == ("Z", "Z")
     assert witness.derivation.start == ("Z",)
     assert witness.derivation.steps == ((0, 3), (1, 5))
-
-
-def test_components_of_an_edge_map():
-    edges = {"A": [("B", 0, 0)], "B": [("A", 1, 0), ("C", 2, 0)],
-             "C": [("C", 3, 0)], "D": [("A", 4, 0)]}
-    comp = _components(edges)
-    assert comp["A"] == comp["B"]
-    assert len({comp["A"], comp["C"], comp["D"]}) == 3
-
-
-CYCLIC_DOCS = [
-    (["X -> Y : 1", "Y -> X : 1", "Y -> a : 1"], "X Y"),
-    (["X -> Y X : 1", "X -> a : 1", "Y -> eps : 1"], "X Y"),
-    (["X -> Y : 1", "Y -> Z : 1", "Z -> X : 1", "Z -> a : 1"], "X Y Z"),
-    (["X -> Y : 1", "X -> Z : 1", "Y -> X : 1", "Z -> X : 1",
-      "Y -> a : 1", "Z -> a : 1"], "X Y Z"),
-    (["X -> Y Z : 1", "X -> Z Y : 1", "Y -> X : 1", "Y -> a : 1",
-      "Z -> eps : 1", "Z -> b : 1"], "X Y Z"),
-    (["X -> Y : 1", "Y -> X : 1", "Y -> a : 1", "Z -> Z W : 1",
-      "Z -> b : 1", "W -> eps : 1", "W -> W W : 1"], "X Y Z W"),
-]
-
-
-def with_cycles(g):
-    """g with an empty rule for every variable, with a ring of unit
-    rules V1 -> V2 -> ... -> V1, and with both; rules g has already are
-    not added twice."""
-    have = {(r.lhs, r.rhs) for r in g.rules}
-    names = g.variables
-    eps = [Rule(v, (), 1) for v in names]
-    ring = [Rule(v, (names[(i + 1) % len(names)],), 1) for i, v in enumerate(names)]
-    return [Grammar(g.semiring, g.terminals, names, g.start,
-                    g.rules + tuple(r for r in extra if (r.lhs, r.rhs) not in have))
-            for extra in (eps, ring, eps + ring)]
-
-
-def shortest_cycle_by_search_from_every_variable(edges):
-    """Reference: a breadth-first search over the whole edge map from
-    every vertex, the shortest cycle winning, the first on ties."""
-    best = None
-    for origin in edges:
-        hops = _shortest_path(origin, origin, edges)
-        if hops is not None and (best is None or len(hops) < len(best[1])):
-            best = (origin, hops)
-    return best
-
-
-def test_shortest_cycle_agrees_with_a_search_from_every_variable():
-    grammars = [doc(rules, variables=names) for rules, names in CYCLIC_DOCS]
-    for family in random_nonexpansive_family(20260822, 40):
-        grammars += [family["N"]] + with_cycles(family["N"])
-    cyclic = 0
-    for g in grammars:
-        edges = _cycle_edges(g, nullable_variables(g))
-        best = _shortest_cycle(edges)
-        assert best == shortest_cycle_by_search_from_every_variable(edges)
-        assert is_cycle_free(g)[0] == (best is None)
-        cyclic += best is not None
-    assert cyclic > 80
 
 
 def _expansive_golden(g):
