@@ -31,7 +31,6 @@ from .errors import (
     GrammarFormatError,
     IterationCapExceeded,
     KTooSmall,
-    NonUnitDenominatorAtOrigin,
     NotCycleFree,
     WcfgError,
     WrongSemiring,
@@ -54,7 +53,6 @@ from .series import (
     grammar_from_linear,
     grammar_series,
     render_series,
-    series_expand,
 )
 from .trees import (
     derivation_index,
@@ -77,7 +75,6 @@ __all__ = [
     "GrammarFormatError",
     "IterationCapExceeded",
     "KTooSmall",
-    "NonUnitDenominatorAtOrigin",
     "NotCycleFree",
     "Polynomial",
     "RationalFunction",
@@ -113,7 +110,6 @@ __all__ = [
     "render_series",
     "render_system_polynomial",
     "replay_derivation",
-    "series_expand",
     "system_polynomials",
     "tree_dimension",
     "tree_weight",

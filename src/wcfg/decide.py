@@ -129,17 +129,28 @@ def rational_reconstruct(r1, D, k):
     return None
 
 
-def discriminate_factor(candidates, system, max_order=256):
+def discriminate_factor(candidates, system):
     """Index of the unique candidate polynomial annihilating the
-    system's start series, found by evaluating all candidates at ever
-    longer series truncations and discarding any with a nonzero value.
+    system's start series r, found by evaluating all candidates at the
+    series truncated at orders 4, 8, 16, ... and discarding any with a
+    nonzero value.
 
     Each candidate is a Polynomial over the system's terminals plus its
     start variable, last, as univar_polynomial makes it; a candidate
     over other symbols raises SymbolMismatch.
-    Precondition (caller-guaranteed): exactly one candidate vanishes.
-    Raises IterationCapExceeded past max_order — a violated
-    precondition, not a data condition.
+
+    Precondition (caller-guaranteed): exactly one candidate vanishes at
+    r, and the candidates are pairwise coprime, as a squarefree
+    certificate's factor and cofactor are.  The doubling then stops once
+    the order reaches the largest n_i*D_j + n_j*D_i over pairs i != j,
+    n a candidate's degree in X and D the largest total degree of its
+    coefficients.  For coprime P, Q with P(r) = 0, the resultant
+    Res_X(P, Q) = A*P + B*Q is a nonzero terminal polynomial with
+    B(r)*Q(r) = Res, so Q(r) has a nonzero term of degree at most
+    deg Res <= n_P*D_Q + n_Q*D_P (the Sylvester matrix's degrees).
+    Raises IterationCapExceeded when every candidate is eliminated, or
+    more than one is left at that order: a violated precondition, not a
+    data condition.
     """
     syms = system.terminals + (system.variables[0],)
     coeffs = []
@@ -149,9 +160,12 @@ def discriminate_factor(candidates, system, max_order=256):
         coeffs.append(coefficients_in_last(candidate))
     if len(candidates) == 1:
         return 0
+    shapes = [(len(c) - 1, max((p.total_degree() for p in c), default=-1)) for c in coeffs]
+    cap = max(ni * dj + nj * di for i, (ni, di) in enumerate(shapes)
+              for j, (nj, dj) in enumerate(shapes) if i != j)
     alive = set(range(len(candidates)))
     order = 4
-    while order <= max_order:
+    while True:
         r1 = approximate(system, order)[0]
         for i in sorted(alive):
             value = eval_poly_at_series(coeffs[i], r1, order)
@@ -163,10 +177,12 @@ def discriminate_factor(candidates, system, max_order=256):
             raise IterationCapExceeded(
                 f"every candidate factor was eliminated at order {order}"
             )
+        if order >= cap:
+            raise IterationCapExceeded(
+                f"factor discrimination still ambiguous at order {order}, "
+                f"past the degree bound {cap}"
+            )
         order *= 2
-    raise IterationCapExceeded(
-        f"factor discrimination still ambiguous at order {max_order}"
-    )
 
 
 def decide_parikh(g):
@@ -197,12 +213,11 @@ def decide_parikh(g):
         raise NotCycleFree(cycle.variables)
 
     system = algebraic_system(g)
-    name = system.variables[0]
     basis_g = eliminate_to_univariate(system)
-    certificate = clear_denominators(univar_gcd_squarefree(basis_g, name))
-    poly = univar_polynomial(certificate, name)
+    certificate = clear_denominators(univar_gcd_squarefree(basis_g))
+    poly = univar_polynomial(certificate)
 
-    if certificate.degree_in(name) == 1:
+    if certificate.degree_in(g.start) == 1:
         linear, order, reason = poly, 0, "linear certificate"
     elif (proof := no_root(poly.terms)) is not None:
         linear, order, reason = None, 0, proof
@@ -211,7 +226,7 @@ def decide_parikh(g):
     q, witness = certificate, None
     if linear is not None:
         minus_d, c = coefficients_in_last(linear)
-        q = clear_denominators(univar_from_polynomial(certificate, linear, name))
+        q = clear_denominators(univar_from_polynomial(certificate, linear))
         witness = grammar_from_linear(c, -minus_d, g.terminals, g.start)
     return DecisionReport(
         verdict="fails" if linear is None else "holds",

@@ -61,11 +61,6 @@ class EnumerationBudgetExceeded(WcfgError):
     """Tree enumeration exceeded its node budget."""
 
 
-class NonRegularSystem(WcfgError):
-    """An algebraic system has a monomial with more than one variable factor,
-    so it does not describe a regular (one-state-at-a-time) grammar."""
-
-
 class NotDivisible(WcfgError):
     """Exact polynomial division left a remainder."""
 
@@ -78,8 +73,13 @@ class ZeroDenominator(WcfgError):
     """A rational function was built with denominator zero."""
 
 
-class NonUnitDenominatorAtOrigin(WcfgError):
-    """Series expansion needs a denominator with a nonzero constant term."""
+class ZeroIdeal(WcfgError):
+    """A Groebner basis was asked for generators that are all zero."""
+
+
+class NotUnivariate(WcfgError):
+    """A system polynomial involves a variable other than the start
+    variable where a univariate one is required."""
 
 
 class NoUnivariateElement(WcfgError):
@@ -88,13 +88,14 @@ class NoUnivariateElement(WcfgError):
 
 
 class DegenerateLeadingTerm(WcfgError):
-    """A linear annihilating polynomial has a zero constant part where a unit
-    is required to solve for the start variable."""
+    """A linear equation c*X = d has a coefficient c with a zero constant
+    term, so d/c has no power series to solve for the start variable."""
 
 
 class IterationCapExceeded(WcfgError):
-    """Series discrimination failed to separate candidate factors within the
-    iteration cap."""
+    """Series discrimination eliminated every candidate factor, or still
+    kept more than one at the order its degree bound guarantees: the
+    candidates were not as its precondition requires."""
 
 
 class SymbolMismatch(WcfgError):

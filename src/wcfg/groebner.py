@@ -20,7 +20,7 @@ denominators first.
 import heapq
 from fractions import Fraction
 
-from .errors import SymbolMismatch
+from .errors import NotUnivariate, SymbolMismatch, ZeroIdeal
 from .monomials import (
     mono_div,
     mono_divides,
@@ -314,7 +314,7 @@ def buchberger(generators):
         if not f.is_zero():
             update(f.primitive())
     if not basis:
-        raise ValueError("cannot take a Groebner basis of the zero ideal alone")
+        raise ZeroIdeal("cannot take a Groebner basis of the zero ideal alone")
     while pairs:
         _, (i, j) = heapq.heappop(pairs)
         r = poly_reduce(s_polynomial(basis[i], basis[j]), [basis[k] for k in live])
@@ -366,38 +366,36 @@ def groebner_basis(generators):
 
 # --- univariate polynomials in the start variable --------------------
 
-def univar_polynomial(p, name):
-    """A p over Q[terminals] univariate in `name` (a view cleared first)
-    as one Polynomial in the terminals plus `name`, appended last so
-    that it is poly_gcd's main symbol."""
+def univar_polynomial(p):
+    """A p over Q[terminals] univariate in its first variable X, the
+    start variable of a decide system (a view cleared first), as one
+    Polynomial in the terminals plus X, appended last so that it is
+    poly_gcd's main symbol.  A p involving another variable raises
+    NotUnivariate."""
     p = p.cleared()
+    name = p.variables[0]
     if not p.uses_only(name):
-        raise ValueError(f"polynomial is not univariate in {name}")
-    i = p.variables.index(name)
+        raise NotUnivariate(f"polynomial is not univariate in {name}")
     terms = {}
     for m, c in p.terms.items():
         for tm, v in c.terms.items():
-            terms[tm + (m[i],)] = v
+            terms[tm + (m[0],)] = v
     return Polynomial(p.syms + (name,), terms, _clean=False)
 
 
-def univar_from_polynomial(template, poly, name):
+def univar_from_polynomial(template, poly):
     """Inverse of univar_polynomial: the polynomial coefficients of the
-    last symbol's powers, as a SystemPolynomial in `name` shaped like
-    the template."""
-    i = template.variables.index(name)
-    n = len(template.variables)
-    terms = {tuple(e if j == i else 0 for j in range(n)): c
-             for e, c in enumerate(coefficients_in_last(poly))}
+    last symbol's powers, as a SystemPolynomial in the first variable
+    shaped like the template."""
+    rest = (0,) * (len(template.variables) - 1)
+    terms = {(e,) + rest: c for e, c in enumerate(coefficients_in_last(poly))}
     return SystemPolynomial(template.syms, template.variables, terms)
 
 
-def univar_gcd_squarefree(p, name=None):
+def univar_gcd_squarefree(p):
     """The squarefree part p / gcd(p, p') over Q[terminals], taken in
-    Q[terminals][X] (a view cleared first): same roots without
-    multiplicity, no factor free of X, and defined up to a rational
-    factor; clear_denominators fixes that factor."""
-    if name is None:
-        name = p.variables[0]
-    squarefree = poly_squarefree(univar_polynomial(p, name))
-    return univar_from_polynomial(p, squarefree, name)
+    Q[terminals][X] for X the first variable (a view cleared first):
+    same roots without multiplicity, no factor free of X, and defined up
+    to a rational factor; clear_denominators fixes that factor."""
+    squarefree = poly_squarefree(univar_polynomial(p))
+    return univar_from_polynomial(p, squarefree)

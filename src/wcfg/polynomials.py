@@ -8,7 +8,7 @@ by trial division, with a primitive pseudo-remainder sequence as the
 fallback when the heuristic gives up (see _gcd_primitive).
 RationalFunction is a reduced fraction of two Polynomials with no
 arithmetic of its own: it is the canonical form of a monic Groebner
-basis coefficient over Q(s1, ..., sn), and the input of series_expand.
+basis coefficient over Q(s1, ..., sn).
 
 Canonical forms (load-bearing for printing and witnesses):
 
@@ -101,11 +101,6 @@ class Polynomial:
     def first_term(self):
         """(monomial, coefficient) lowest in the canonical order."""
         m = min(self.terms, key=grade_key)
-        return m, self.terms[m]
-
-    def lead_term(self):
-        """(monomial, coefficient) highest in the canonical order."""
-        m = max(self.terms, key=grade_key)
         return m, self.terms[m]
 
     def __bool__(self):

@@ -20,14 +20,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 
-from .errors import (
-    DegenerateLeadingTerm,
-    NonRegularSystem,
-    NonUnitDenominatorAtOrigin,
-    NotCycleFree,
-    PrecisionExceeded,
-    SymbolMismatch,
-)
+from .errors import DegenerateLeadingTerm, NotCycleFree, PrecisionExceeded, SymbolMismatch
 from .grammar import Grammar, Rule
 from .monomials import (
     grade_key,
@@ -35,7 +28,6 @@ from .monomials import (
     mono_is_one,
     mono_mul,
     mono_one,
-    monomials_up_to_degree,
     render_monomial,
 )
 from .polynomials import Polynomial
@@ -178,23 +170,6 @@ class AlgebraicSystem:
         self.variables = tuple(variables)
         self.equations = tuple(tuple(eq) for eq in equations)
         self._sweep = None  # the graded solution so far, see approximate
-
-    def render(self):
-        lines = []
-        for var, eq in zip(self.variables, self.equations):
-            if not eq:
-                lines.append("%s = %s" % (var, self.semiring.render(self.semiring.zero)))
-                continue
-            parts = []
-            for weight, tmono, vmono in eq:
-                factors = [self.semiring.render(weight)]
-                if not mono_is_one(tmono):
-                    factors.append(render_monomial(tmono, self.terminals))
-                if not mono_is_one(vmono):
-                    factors.append(render_monomial(vmono, self.variables))
-                parts.append("*".join(factors))
-            lines.append("%s = %s" % (var, " + ".join(parts)))
-        return "\n".join(lines)
 
 
 def system_variable_order(grammar):
@@ -438,46 +413,12 @@ def grammar_series(grammar, order):
     return approximate(system, order)[0]
 
 
-# --- bridges between polynomials, rational functions and series ----------
+# --- bridges between polynomials and series -----------------------------
 
 def poly_to_series(poly, order):
     """View a rational-coefficient polynomial as a truncated series."""
     coeffs = {m: c for m, c in poly.terms.items() if mono_degree(m) <= order}
     return TruncatedSeries(RATIONALS, poly.syms, order, coeffs)
-
-
-def series_expand(f, order):
-    """Expand a rational function as a truncated series at the origin.
-
-    The denominator must have a nonzero constant term; otherwise the
-    expansion does not exist and NonUnitDenominatorAtOrigin is raised.
-    """
-    den = f.den
-    c0 = den.constant_term()
-    if c0 == 0:
-        raise NonUnitDenominatorAtOrigin(
-            "denominator %r vanishes at the origin" % (den,)
-        )
-    inv0 = Fraction(1) / c0
-    n = len(f.syms)
-    unit = mono_one(n)
-    inv = {unit: inv0}
-    den_terms = [(m, c) for m, c in den.terms.items() if not mono_is_one(m)]
-    for mono in monomials_up_to_degree(n, order):
-        if mono_is_one(mono):
-            continue
-        acc = Fraction(0)
-        for dm, dc in den_terms:
-            rest = tuple(e - d for e, d in zip(mono, dm))
-            if any(e < 0 for e in rest):
-                continue
-            prev = inv.get(rest)
-            if prev is not None:
-                acc += dc * prev
-        if acc:
-            inv[mono] = -inv0 * acc
-    inv_series = TruncatedSeries(RATIONALS, f.syms, order, inv)
-    return poly_to_series(f.num, order) * inv_series
 
 
 def eval_poly_at_series(coeffs, series, order):
@@ -497,7 +438,7 @@ def eval_poly_at_series(coeffs, series, order):
     return acc
 
 
-# --- linear systems and regular grammars ---------------------------------
+# --- the witness grammar of a linear equation ----------------------------
 
 def _mono_word(mono, syms):
     """The canonical word spelling a commutative monomial: each symbol
@@ -508,63 +449,30 @@ def _mono_word(mono, syms):
     return tuple(word)
 
 
-def regular_system_to_grammar(system, start=None):
-    """Rebuild a weighted right-linear grammar from a linear system.
-
-    Every term must use at most one system variable, with exponent one;
-    otherwise the system has no right-linear presentation and
-    NonRegularSystem is raised.
-    """
-    if start is None:
-        start = system.variables[0]
-    rules = []
-    for var, eq in zip(system.variables, system.equations):
-        for weight, tmono, vmono in eq:
-            word = _mono_word(tmono, system.terminals)
-            if mono_is_one(vmono):
-                rules.append(Rule(var, word, weight))
-                continue
-            if mono_degree(vmono) != 1:
-                raise NonRegularSystem(
-                    "equation for %s has a term of variable degree %d"
-                    % (var, mono_degree(vmono))
-                )
-            successor = system.variables[vmono.index(1)]
-            rules.append(Rule(var, word + (successor,), weight))
-    return Grammar(
-        semiring=system.semiring,
-        terminals=system.terminals,
-        variables=system.variables,
-        start=start,
-        rules=rules,
-    )
-
-
 def grammar_from_linear(c, d, terminals, start):
-    """The right-linear grammar solving c(Sigma) * X = d(Sigma).
+    """The right-linear grammar solving c(Sigma) * X = d(Sigma): its
+    series is d/c, and grammar_series expands it.
 
-    Requires the constant term of ``c`` to be nonzero; the equation is
-    rescaled so that it becomes X = (1 - c/c0) X + d/c0, whose terms
-    translate directly into weighted rules for the single variable X.
-    Raises DegenerateLeadingTerm when c vanishes at the origin, since
-    the rescaled right-hand side would then not define a proper system.
+    Requires the constant term c0 of ``c`` to be nonzero; the equation is
+    rescaled to X = t + s*X with t = d/c0 and s = 1 - c/c0, and each term
+    of t, then of s, each in grade_key order, becomes one weighted rule
+    X -> w or X -> w X, w spelling the term's monomial.  Raises
+    DegenerateLeadingTerm when c vanishes at the origin, where d/c has
+    no power series.
     """
     c0 = c.constant_term()
     if c0 == 0:
         raise DegenerateLeadingTerm(
             "coefficient of the solved variable vanishes at the origin"
         )
-    s = Polynomial.const(c.syms, 1) - c.scale(Fraction(1) / c0)
     t = d.scale(Fraction(1) / c0)
-    terms = []
-    for mono in sorted(s.terms, key=grade_key):
-        terms.append((s.terms[mono], mono, (1,)))
-    for mono in sorted(t.terms, key=grade_key):
-        terms.append((t.terms[mono], mono, (0,)))
-    terms.sort(key=lambda item: (grade_key(item[2]), grade_key(item[1])))
-    if not terms:
+    s = Polynomial.const(c.syms, 1) - c.scale(Fraction(1) / c0)
+    rules = [Rule(start, _mono_word(m, terminals), t.terms[m])
+             for m in sorted(t.terms, key=grade_key)]
+    rules += [Rule(start, _mono_word(m, terminals) + (start,), s.terms[m])
+              for m in sorted(s.terms, key=grade_key)]
+    if not rules:
         # the solved series is identically zero: keep that visible as a
         # single weight-zero rule rather than an empty grammar
-        terms.append((Fraction(0), mono_one(len(terminals)), (0,)))
-    system = AlgebraicSystem(RATIONALS, terminals, (start,), (terms,))
-    return regular_system_to_grammar(system)
+        rules.append(Rule(start, (), Fraction(0)))
+    return Grammar(RATIONALS, terminals, (start,), start, rules)

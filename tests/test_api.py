@@ -4,6 +4,7 @@ API."""
 import argparse
 import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -48,6 +49,19 @@ def test_the_package_has_no_assert_statements():
     for path in sorted((ROOT / "src" / "wcfg").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the library stays stdlib-only: every absolute import names a
+    # standard module, and the relative ones stay inside the package
+    for path in sorted((ROOT / "src" / "wcfg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and not node.level]
+        outside = {n for n in names if n.split(".")[0] not in sys.stdlib_module_names}
+        assert not outside, (path.name, sorted(outside))
 
 
 def readme_cli_options():

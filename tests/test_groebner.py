@@ -22,7 +22,7 @@ from wcfg import (
     univar_gcd_squarefree,
 )
 from wcfg.cli import main
-from wcfg.errors import NoUnivariateElement, SymbolMismatch
+from wcfg.errors import NotUnivariate, NoUnivariateElement, SymbolMismatch, ZeroIdeal
 from wcfg.groebner import (buchberger, lex_key, reduce_basis, s_polynomial,
                            univar_from_polynomial, univar_polynomial)
 from wcfg.monomials import mono_divides, mono_gcd, mono_is_one, mono_lcm
@@ -472,11 +472,22 @@ def test_univar_polynomial_round_trip():
     # the catalan basis element X^2 - (1/a)*X + 1 is cleared on the way in
     g = load_fixture("catalan.wcfg")
     univar = eliminate_to_univariate(algebraic_system(g))
-    poly = univar_polynomial(univar, "X")
+    poly = univar_polynomial(univar)
     assert poly == Polynomial(("a", "X"), {(1, 2): 1, (0, 1): -1, (1, 0): 1})
-    rebuilt = univar_from_polynomial(univar, poly, "X")
+    rebuilt = univar_from_polynomial(univar, poly)
     assert render_system_polynomial(rebuilt) == "a*X^2 - X + a"
     assert rebuilt.monic() == univar
+
+
+def test_univar_polynomial_rejects_a_second_variable():
+    # X1 - X2 involves X2 besides the first variable X1
+    with pytest.raises(NotUnivariate, match="X1"):
+        univar_polynomial(sp({(1, 0): ONE, (0, 1): -ONE}))
+
+
+def test_the_zero_ideal_has_no_basis():
+    with pytest.raises(ZeroIdeal):
+        buchberger([sp({}), sp({})])
 
 
 def test_coefficients_in_last_are_ascending_over_the_other_symbols():

@@ -1,13 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcfg import (
     DegenerateLeadingTerm,
     NotCycleFree,
-    NonUnitDenominatorAtOrigin,
     Polynomial,
-    RationalFunction,
     TruncatedSeries,
     algebraic_system,
     grammar_from_linear,
@@ -16,10 +15,9 @@ from wcfg import (
     parikh_series_bruteforce,
     parse_grammar,
     render_series,
-    series_expand,
 )
 from wcfg.analysis import nullable_variables
-from wcfg.errors import NonRegularSystem, PrecisionExceeded, SymbolMismatch
+from wcfg.errors import PrecisionExceeded, SymbolMismatch
 from wcfg.grammar import Grammar
 from wcfg.semirings import NATURALS, RATIONALS, TROPICAL
 from wcfg.series import (
@@ -28,7 +26,6 @@ from wcfg.series import (
     approximate,
     eval_poly_at_series,
     poly_to_series,
-    regular_system_to_grammar,
 )
 
 from fixtures import load_fixture
@@ -95,12 +92,17 @@ def test_render_series_ascending():
     assert render_series(S(4, {})) == "0"
 
 
+def ratio_series(d, c, order):
+    """The series of d/c through the order, by the witness grammar of
+    c*X = d."""
+    return grammar_series(grammar_from_linear(c, d, c.syms, "X"), order)
+
+
 def test_geometric_series_expansion():
     syms = ("a",)
     one = Polynomial.const(syms, 1)
     a = Polynomial.variable(syms, "a")
-    f = RationalFunction(one, one - a.scale(2))
-    s = series_expand(f, 3)
+    s = ratio_series(one, one - a.scale(2), 3)
     assert s.coeffs == {(0,): 1, (1,): 2, (2,): 4, (3,): 8}
 
 
@@ -109,8 +111,7 @@ def test_two_letter_geometric_expansion():
     one = Polynomial.const(syms, 1)
     a = Polynomial.variable(syms, "a")
     abar = Polynomial.variable(syms, "abar")
-    f = RationalFunction(one, one - a - abar)
-    s = series_expand(f, 2)
+    s = ratio_series(one, one - a - abar, 2)
     assert s.coeffs == {
         (0, 0): 1,
         (1, 0): 1, (0, 1): 1,
@@ -122,8 +123,8 @@ def test_series_expansion_needs_unit_denominator():
     syms = ("a",)
     one = Polynomial.const(syms, 1)
     a = Polynomial.variable(syms, "a")
-    with pytest.raises(NonUnitDenominatorAtOrigin):
-        series_expand(RationalFunction(one, a), 4)
+    with pytest.raises(DegenerateLeadingTerm):
+        ratio_series(one, a, 4)
 
 
 def test_expand_matches_product_of_expansions():
@@ -131,10 +132,23 @@ def test_expand_matches_product_of_expansions():
     one = Polynomial.const(syms, 1)
     a = Polynomial.variable(syms, "a")
     b = Polynomial.variable(syms, "b")
-    f = RationalFunction(one, one - a)
-    g = RationalFunction(one - b, one - a - b)
-    fg = RationalFunction(one - b, (one - a) * (one - a - b))
-    assert series_expand(fg, 5) == series_expand(f, 5) * series_expand(g, 5)
+    fg = ratio_series(one - b, (one - a) * (one - a - b), 5)
+    assert fg == ratio_series(one, one - a, 5) * ratio_series(one - b, one - a - b, 5)
+
+
+_poly_ab = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).map(Fraction), max_size=4,
+).map(lambda terms: Polynomial(("a", "b"), terms))
+
+
+@given(c=_poly_ab, c0=st.sampled_from([-2, -1, 1, 3]), d=_poly_ab)
+@settings(max_examples=60, deadline=None)
+def test_the_witness_series_solves_its_equation(c, c0, d):
+    # r = d/c as the witness grammar's series: c*r = d through the order
+    c = c + Polynomial.const(c.syms, c0 - c.constant_term())
+    r = ratio_series(d, c, 6)
+    assert poly_to_series(c, 6) * r == poly_to_series(d, 6)
 
 
 def test_eval_poly_at_series():
@@ -315,22 +329,6 @@ def test_a_reused_system_answers_like_a_fresh_one():
         for order in (9, 4, 12):
             assert approximate(system, order) == \
                 approximate(algebraic_system(g), order), order
-
-
-def test_regular_system_round_trip():
-    g = load_fixture("two_letter_star.wcfg")
-    rebuilt = regular_system_to_grammar(algebraic_system(g))
-    # rule order follows the equation canon, so compare as sets
-    assert set(rebuilt.rules) == set(g.rules)
-    assert (rebuilt.semiring, rebuilt.terminals, rebuilt.start) == (
-        g.semiring, g.terminals, g.start)
-    assert grammar_series(rebuilt, 5) == grammar_series(g, 5)
-
-
-def test_regular_system_rejects_nonlinear_terms():
-    g = load_fixture("binary_tail.wcfg")
-    with pytest.raises(NonRegularSystem):
-        regular_system_to_grammar(algebraic_system(g))
 
 
 def test_grammar_from_linear_builds_the_solving_grammar():
