@@ -41,7 +41,7 @@ from .groebner import (
 )
 from .linalg import nullspace
 from .modular import no_root
-from .monomials import monomials_up_to_degree, mono_divides, mono_div
+from .monomials import monomials_up_to_degree, mono_degree, mono_divides, mono_div
 from .polynomials import Polynomial, coefficients_in_last, poly_divexact, poly_gcd
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
 
@@ -102,31 +102,27 @@ def univariate_element(basis, name):
 def rational_reconstruct(r1, D, k):
     """A nonzero pair of terminal polynomials (c, d) of degree <= D with
     c*r1 = d up to series order k, or None when only the zero pair
-    works: the first exact nullspace vector, with c normalized to
-    canonical (first ascending) coefficient one.  With k >= 2D it is
-    unique up to a factor: if r1 = d0/c0 with c0, d0 coprime of degree
-    <= D, then c*d0 - c0*d has degree <= 2D and vanishes through order
-    k, so it is zero."""
+    works.  The rows of degree <= D only define d, so c alone solves the
+    rows of degree D+1 ... k: it is the first exact nullspace vector,
+    normalized to canonical (first ascending) coefficient one, and d is
+    c*r1 truncated at degree min(D, k).  With k >= 2D the pair is unique
+    up to a factor: if r1 = d0/c0 with c0, d0 coprime of degree <= D,
+    then c*d0 - c0*d has degree <= 2D and vanishes through order k, so
+    it is zero."""
     monos = monomials_up_to_degree(len(r1.syms), D)
-    rows = []
-    for v in monomials_up_to_degree(len(r1.syms), k):
-        row = []
-        for m in monos:  # c columns: coefficient of v in c * r1
-            if mono_divides(m, v):
-                row.append(r1.coefficient(mono_div(v, m)))
-            else:
-                row.append(Fraction(0))
-        for m in monos:  # d columns: -d contributes at its own monomial
-            row.append(Fraction(-1) if m == v else Fraction(0))
-        rows.append(row)
-    for vec in nullspace(rows, 2 * len(monos)):
-        c = Polynomial(r1.syms, {m: vec[i] for i, m in enumerate(monos)})
-        if c.is_zero():
-            continue  # c = 0 forces d = 0 once k >= D; not a representation
-        d = Polynomial(r1.syms, {m: vec[len(monos) + i] for i, m in enumerate(monos)})
-        _, first = c.first_term()
-        return c.scale(1 / first), d.scale(1 / first)
-    return None
+
+    def row(v):  # coefficient of v in m * r1, for each c monomial m
+        return [r1.coefficient(mono_div(v, m)) if mono_divides(m, v) else 0 for m in monos]
+
+    rows = [row(v) for v in monomials_up_to_degree(len(r1.syms), k) if mono_degree(v) > D]
+    basis = nullspace(rows, len(monos))
+    if not basis:
+        return None
+    first = next(x for x in basis[0] if x)
+    vec = [Fraction(x, first) for x in basis[0]]
+    d = {v: sum(x * y for x, y in zip(row(v), vec))
+         for v in monomials_up_to_degree(len(r1.syms), min(D, k))}
+    return Polynomial(r1.syms, dict(zip(monos, vec))), Polynomial(r1.syms, d)
 
 
 def discriminate_factor(candidates, system):

@@ -1,56 +1,48 @@
-"""Exact linear algebra over the rationals."""
+"""Exact linear algebra over the rationals, by one integer elimination.
+
+`nullspace` clears each row to integers and runs fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): every entry
+stays an integer, a minor of the cleared matrix, so every division by
+the previous pivot is exact.
+"""
 
 from fractions import Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def rref(rows):
-    """Reduced row echelon form of a matrix of Fractions.
-
-    Returns (matrix, pivot_columns); the input rows are copied, not
-    modified.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        hit = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if hit is None:
-            continue
-        mat[r], mat[hit] = mat[hit], mat[r]
-        inv = _ONE / mat[r][c]
-        pivot = mat[r] = [x * inv for x in mat[r]]
-        # the pivot row is zero left of c; only its nonzero entries act
-        nonzero = [(j, y) for j, y in enumerate(pivot[c:], c) if y]
-        for row in mat:
-            if row is not pivot and row[c]:
-                f = row[c]
-                for j, y in nonzero:
-                    row[j] -= f * y
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+from math import lcm
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix, one vector per free
-    column in ascending column order; empty list when only the zero
-    vector solves."""
-    if not rows:
-        return [tuple(_ONE if i == j else _ZERO for i in range(ncols))
-                for j in range(ncols)]
-    mat, pivots = rref(rows)
-    pivot_set = set(pivots)
+    """Basis of the right nullspace of a matrix of ints or Fractions
+    with ncols columns: one integer vector per free column, in ascending
+    column order, whose entry at its own free column is the common
+    denominator of the reduced row echelon form and whose entries at the
+    other free columns are zero; empty when only the zero vector
+    solves.  Each row is cleared to integers, and each elimination step
+    divides by the previous pivot exactly."""
+    mat = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots = []
+    den = 1  # the previous pivot
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        pivot = mat[r]
+        a = pivot[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(a * x - f * y) // den for x, y in zip(row, pivot)]
+        pivots.append(c)
+        den = a
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_set):
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = den
         for r, pc in enumerate(pivots):
             v[pc] = -mat[r][fc]
         basis.append(tuple(v))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcfg import (
     DegenerateLeadingTerm,
@@ -30,7 +30,7 @@ from wcfg import (
     render_system_polynomial,
 )
 from wcfg.errors import NoUnivariateElement, SymbolMismatch
-from wcfg.linalg import nullspace, rref
+from wcfg.linalg import nullspace
 from wcfg.groebner import univar_gcd_squarefree, univar_polynomial
 from wcfg.modular import POINT_BASES, no_root
 from wcfg.monomials import monomials_up_to_degree
@@ -114,12 +114,39 @@ def test_fixture_reports(name):
     assert report.reason == GOLDEN_REASONS[name]
 
 
+# random-4x2x9-143 of the decide-q benchmark corpus (seed 1): without the
+# no-root proof it reconstructs at order 21 (D = 10) and finds the space
+# empty; the Fraction elimination of c and d together took about 2 s
+RECONSTRUCTS_AT_ORDER_21 = """\
+semiring Q
+terminals a b
+variables V1 V2 V3 V4
+start V1
+rule V1 -> b a : 1/2
+rule V2 -> a : 2
+rule V3 -> a a : 3/2
+rule V4 -> b : 1/2
+rule V4 -> V1 : -2
+rule V4 -> V2 a : 1
+rule V1 -> a V4 V3 : 1
+rule V3 -> V4 V4 : 1
+rule V2 -> a b : 3
+"""
+
+
 def test_an_inconclusive_rank_falls_back_to_the_exact_nullspace(monkeypatch):
+    g = parse_grammar(RECONSTRUCTS_AT_ORDER_21)
+    proved = decide_parikh(g)
     monkeypatch.setattr("wcfg.decide.no_root", lambda terms: None)
     report = decide_parikh(load_fixture("catalan.wcfg"))
     assert render_report(report) == GOLDEN_REPORTS["catalan.wcfg"].replace(
         "discrimination_order: 0", "discrimination_order: 3")
     assert report.reason == "empty space by exact nullspace at order 3"
+    with deadline(3):
+        report = decide_parikh(g)
+    assert render_report(report) == render_report(proved).replace(
+        "discrimination_order: 0", "discrimination_order: 21")
+    assert report.reason == "empty space by exact nullspace at order 21"
 
 
 def series_in_a(*coeffs):
@@ -129,8 +156,8 @@ def series_in_a(*coeffs):
 
 
 def test_rational_reconstruct_certificate_and_its_empty_branch():
-    # with D = 0 the system is c*r1 = d through order 1: rows
-    # (r1_0, -1) and (r1_1, 0), of full rank exactly when r1_1 != 0
+    # with D = 0, c alone solves the one row of degree 1, (r1_1), and
+    # only c = 0 does exactly when r1_1 != 0
     assert rational_reconstruct(series_in_a(1, 2), 0, 1) is None
     # rank deficient: the exact nullspace finds c = d = 1
     one = Polynomial.const(("a",), 1)
@@ -162,13 +189,22 @@ def test_order_2d_plus_1_pins_down_a_bounded_ratio(case):
     assert c * d0 == c0 * d
 
 
-@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=5))
+ENTRIES = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3, 6]))
+
+
+@given(st.lists(st.lists(ENTRIES, min_size=4, max_size=4), max_size=5))
 def test_the_nullspace_is_annihilated_and_matches_the_rank(rows):
     basis = nullspace(rows, 4)
     for v in basis:
+        assert all(isinstance(x, int) for x in v)
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
-    # the row rank, by eliminating the transpose instead
-    assert len(basis) == 4 - len(rref([list(col) for col in zip(*rows)])[1])
+    # each vector ends at its own free column, in ascending order, so
+    # the vectors are independent
+    ends = [max(j for j, x in enumerate(v) if x) for v in basis]
+    assert ends == sorted(set(ends))
+    # rank-nullity, with the row rank from the nullspace of the transpose
+    transpose = [list(col) for col in zip(*rows)]
+    assert 4 - len(basis) == len(rows) - len(nullspace(transpose, len(rows)))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
@@ -785,6 +821,7 @@ def load_corpus():
 
 
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(3, 2, 7), (4, 2, 9)]))
+@example(seed=171741, shape=(4, 2, 9))  # reconstructs at order 31, D = 15
 @settings(max_examples=15, deadline=None)
 def test_the_no_root_proof_agrees_with_the_reconstruction(seed, shape):
     # the benchmark's generator, since the nonexpansive grammars of
