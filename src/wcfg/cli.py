@@ -29,7 +29,7 @@ from .errors import (
     WcfgError,
     WrongSemiring,
 )
-from .grammar import load_grammar, render_grammar
+from .grammar import Grammar, load_grammar, render_grammar
 from .groebner import groebner_basis, reduce_basis, render_system_polynomial, system_polynomials
 from .monomials import grade_key, render_monomial
 from .regularize import level_of, regularize
@@ -117,26 +117,13 @@ def cmd_equiv(args):
         cf, cycle = is_cycle_free(g)
         if not cf:
             raise NotCycleFree(cycle.variables)
-    sa = grammar_series(ga, args.order)
-    sb = grammar_series(gb, args.order)
-    # compare by terminal name so declaration order cannot hide a match
-    index_b = {t: i for i, t in enumerate(gb.terminals)}
-    remap = tuple(index_b[t] for t in ga.terminals)
-
-    def to_b(mono):
-        out = [0] * len(gb.terminals)
-        for i, e in enumerate(mono):
-            out[remap[i]] = e
-        return tuple(out)
-
-    def to_a(mono):
-        return tuple(mono[remap[i]] for i in range(len(remap)))
-
-    monos = set(sa.coeffs) | {to_a(m) for m in sb.coeffs}
+    # one terminal order, so that declaration order cannot hide a match
+    gb = Grammar(gb.semiring, ga.terminals, gb.variables, gb.start, gb.rules)
+    sa = grammar_series(ga, args.order).coeffs
+    sb = grammar_series(gb, args.order).coeffs
     zero = ga.semiring.zero
-    for mono in sorted(monos, key=grade_key):
-        va = sa.coeffs.get(mono, zero)
-        vb = sb.coeffs.get(to_b(mono), zero)
+    for mono in sorted(sa.keys() | sb.keys(), key=grade_key):
+        va, vb = sa.get(mono, zero), sb.get(mono, zero)
         if va != vb:
             name = render_monomial(mono, ga.terminals)
             print(

@@ -1,15 +1,13 @@
-"""One-sided proofs over Q by reduction modulo a prime.
+"""A one-sided proof over Q by reduction modulo a prime.
 
 Reducing modulo a prime p maps the rationals whose denominators p does
-not divide onto GF(p), and maps resultants to resultants (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 5-6).  Likewise a
-factorisation over Q survives the reduction: a polynomial with a linear
-factor over Q(Sigma) has a root in GF(p) at every point where its
-leading coefficient survives, so an image with no root proves that
-there is no linear factor (ch. 14).  Both proofs, no_root and
-coprime_to_derivative, loop over the same tries, `images`: 8 primes
-times 3 points.  Each answers in one direction only: True, or a reason,
-is a proof, and False or None proves nothing, so the caller falls back
+not divide onto GF(p), and a factorisation over Q survives the
+reduction: a polynomial with a linear factor over Q(Sigma) has a root in
+GF(p) at every point where its leading coefficient survives, so an image
+with no root proves that there is no linear factor (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 14).  no_root loops over the tries
+of `images`: 8 primes times 3 points.  It answers in one direction only:
+a reason is a proof, and None proves nothing, so the caller falls back
 to exact arithmetic.
 """
 
@@ -57,7 +55,7 @@ def image(terms, base, p):
 
 
 def images(terms):
-    """The tries of both proofs: (prime, base, image) for each prime of
+    """The tries of no_root: (prime, base, image) for each prime of
     PRIMES and each point base, with the image of the polynomial
     {exponent tuple: rational} in the symbols Sigma and X, last, trimmed
     at the top.  A prime that divides a denominator is skipped, and so
@@ -86,20 +84,6 @@ def no_root(terms):
         if len(univar_gcd(f, xp_minus_x, p)) == 1:
             return f"no root mod {p} at point {base}"
     return None
-
-
-def coprime_to_derivative(terms):
-    """Is the polynomial {exponent tuple: rational} coprime to its
-    derivative in the last symbol v over Q(Sigma)?  True proves it: at
-    a try whose prime divides neither the lead in v nor the degree n,
-    both degrees survive the reduction, so the resultant of p and dp/dv
-    in v reduces to the resultant of the images, and a unit gcd of the
-    images says that it is nonzero.  False is inconclusive."""
-    for p, _, f in images(terms):
-        der = [i * c % p for i, c in enumerate(f)][1:]
-        if (len(f) - 1) % p and len(univar_gcd(f, der, p)) == 1:
-            return True
-    return False
 
 
 def univar_gcd(a, b, p):

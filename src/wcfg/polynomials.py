@@ -32,7 +32,6 @@ from .errors import (
     SymbolMismatch,
     ZeroDenominator,
 )
-from .modular import coprime_to_derivative
 from .monomials import (
     grade_key,
     mono_degree,
@@ -148,21 +147,13 @@ class Polynomial:
         small, big = sorted((self.terms, other.terms), key=len)
         res = {}
         for m1, c1 in small.items():
-            if mono_is_one(m1):
-                for m2, c2 in big.items():
-                    s = res.get(m2, _ZERO) + c1 * c2
-                    if s:
-                        res[m2] = s
-                    elif m2 in res:
-                        del res[m2]
-            else:
-                for m2, c2 in big.items():
-                    m = mono_mul(m1, m2)
-                    s = res.get(m, _ZERO) + c1 * c2
-                    if s:
-                        res[m] = s
-                    elif m in res:
-                        del res[m]
+            for m2, c2 in big.items():
+                m = mono_mul(m1, m2)
+                s = res.get(m, _ZERO) + c1 * c2
+                if s:
+                    res[m] = s
+                elif m in res:
+                    del res[m]
         return Polynomial(self.syms, res, _clean=False)
 
     __rmul__ = __mul__
@@ -375,7 +366,9 @@ def poly_gcd(p, q):
         return p.primitive_part()
     if p.is_constant() or q.is_constant():
         return Polynomial.const(p.syms, 1)
-    # peel off the monomial content first; it also covers the monomial cases
+    # split off the monomial content first, which also covers the monomial
+    # cases: the PRS fallback needs it, and without it runs for minutes on
+    # inputs that share a monomial factor
     mp = _mono_content(p)
     mq = _mono_content(q)
     shared = mono_gcd(mp, mq)
@@ -416,8 +409,6 @@ def _gcd_primitive(p, q):
     last, then the PRS."""
     if p.is_constant() or q.is_constant():
         return Polynomial.const(p.syms, 1)
-    if p == q:
-        return p.primitive_part()
     h = _heu_gcd(_cleared(p), _cleared(q))
     if h is None:
         return _gcd_prs(p, q)
@@ -553,19 +544,9 @@ def poly_cofactors(p, q):
 def poly_squarefree(p):
     """p / gcd(p, dp/dv) for the last symbol v: up to a rational factor,
     each irreducible factor of p that involves v, once, and no factor
-    free of v.  A p free of v gives 1.
-
-    When modular.coprime_to_derivative proves the gcd free of v, the gcd
-    is the content of p in v and no gcd involving v is taken."""
+    free of v.  A p free of v gives 1."""
     if all(m[-1] == 0 for m in p.terms):
         return Polynomial.const(p.syms, 1)
-    if coprime_to_derivative(p.terms):
-        v = len(p.syms) - 1
-        content, cs = poly_primitive(_coeff_list(p, v))
-        if content.is_constant():
-            return p
-        # p / content.primitive_part(), the normalised gcd poly_gcd returns
-        return _from_coeff_list(p.syms, v, cs).scale(content.content())
     der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
                               for m, c in p.terms.items() if m[-1]}, _clean=False)
     return poly_divexact(p, poly_gcd(p, der))
@@ -590,7 +571,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = Polynomial.const(num.syms, 1)
         if den.is_zero():
@@ -599,18 +580,17 @@ class RationalFunction:
             self.num = num
             self.den = Polynomial.const(num.syms, 1)
             return
-        if not _reduced:
-            if not den.is_constant():
-                num, den = poly_cofactors(num, den)
-            _, c = den.first_term()
-            if c != 1:
-                num, den = num.scale(_ONE / c), den.scale(_ONE / c)
+        if not den.is_constant():
+            num, den = poly_cofactors(num, den)
+        _, c = den.first_term()
+        if c != 1:
+            num, den = num.scale(_ONE / c), den.scale(_ONE / c)
         self.num = num
         self.den = den
 
     @classmethod
     def const(cls, syms, c):
-        return cls(Polynomial.const(syms, c), None, _reduced=True)
+        return cls(Polynomial.const(syms, c))
 
     @property
     def syms(self):

@@ -11,9 +11,8 @@ approximate computes it one total degree in the terminal symbols at a
 time (a semi-naive graded sweep): for a cycle-free grammar the degree-n
 part of each variable depends only on lower degrees and, through its
 terminal-free terms, on an acyclic set of same-degree parts, so every
-degree is computed once, in the same way over every semiring, and a
-system keeps the degrees computed so far for its next, higher order.
-A cyclic system raises NotCycleFree.
+degree is computed once, in the same way over every semiring.  A cyclic
+system raises NotCycleFree.
 """
 
 from fractions import Fraction
@@ -162,14 +161,13 @@ class AlgebraicSystem:
     merged.
     """
 
-    __slots__ = ("semiring", "terminals", "variables", "equations", "_sweep")
+    __slots__ = ("semiring", "terminals", "variables", "equations")
 
     def __init__(self, semiring, terminals, variables, equations):
         self.semiring = semiring
         self.terminals = tuple(terminals)
         self.variables = tuple(variables)
         self.equations = tuple(tuple(eq) for eq in equations)
-        self._sweep = None  # the graded solution so far, see approximate
 
 
 def system_variable_order(grammar):
@@ -329,9 +327,9 @@ class _GradedSweep:
         self.order = [(nodes[k], computes[k]) for k in order]
 
     def extend(self, order):
-        """Compute every degree up to ``order`` not computed yet, each
-        once, in dependency order."""
-        for n in range(len(self.values[0]), order + 1):
+        """Compute degrees 1 ... ``order``, each once, in dependency
+        order."""
+        for n in range(1, order + 1):
             for slices, compute in self.order:
                 slices.append(compute(n))
 
@@ -340,7 +338,7 @@ class _GradedSweep:
         out = []
         for slices in self.values:
             coeffs = {}
-            for piece in slices[:order + 1]:
+            for piece in slices:
                 coeffs.update(piece)
             out.append(TruncatedSeries(self.sr, self.syms, order, coeffs))
         return tuple(out)
@@ -395,14 +393,11 @@ def approximate(system, order):
     degree ``order``, one series per system variable (same order as
     ``system.variables``).
 
-    Computed by the graded sweep of _GradedSweep, whose state the system
-    keeps: a later call extends the degrees computed so far instead of
-    starting again, and a lower order truncates them.  A cyclic system,
-    whose weights would be infinite sums, raises NotCycleFree.
+    Computed by the graded sweep of _GradedSweep, from scratch at each
+    call.  A cyclic system, whose weights would be infinite sums, raises
+    NotCycleFree.
     """
-    sweep = system._sweep
-    if sweep is None:
-        sweep = system._sweep = _GradedSweep(system)
+    sweep = _GradedSweep(system)
     sweep.extend(order)
     return sweep.series(order)
 

