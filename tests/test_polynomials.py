@@ -11,7 +11,6 @@ from wcfg.errors import (
     SymbolMismatch,
     ZeroDenominator,
 )
-from fixtures import deadline
 from wcfg.modular import POINT_BASES, PRIMES, images
 from wcfg.polynomials import (
     poly_divexact,
@@ -21,6 +20,8 @@ from wcfg.polynomials import (
     render_polynomial,
     render_ratfun,
 )
+
+from fixtures import deadline
 
 SYMS = ("a", "b")
 
@@ -187,7 +188,8 @@ def test_a_heuristic_with_no_tries_falls_back_to_the_same_gcd(h, p, q):
 
 def test_the_prs_needs_the_monomial_content_split_off():
     # poly_gcd splits off the monomial content before _gcd_primitive; with
-    # that step removed, this PRS gcd took more than 30 s
+    # that step removed, this PRS gcd ran for more than 300 s (Python
+    # 3.11, one core), against 0.13 s with it
     a3, b3, c3 = (Polynomial.variable(SYMS3, s) for s in SYMS3)
     h = a3 * a3 * b3 * b3 * c3
     p = Polynomial(SYMS3, {(1, 0, 1): Fraction(-1, 2), (2, 0, 2): 1,
@@ -234,7 +236,7 @@ def test_guarded_invariants_raise_typed_errors():
 
 
 # ---------------------------------------------------------------------------
-# squarefree part, on inputs that the modular tries skip or cannot use
+# squarefree part, and the tries of the no-root proof
 # ---------------------------------------------------------------------------
 
 SYMSX = ("a", "b", "X")
@@ -265,8 +267,11 @@ SQUAREFREE_CASES = {
     "content": (_content * _quadratic, _quadratic.scale(Fraction(-3, 2))),
     "planted-square": ((_f * _f * _g).scale(Fraction(5, 7)), (_f * _g).scale(Fraction(5, 7))),
     "lead-vanishes": (_unlucky, _unlucky),
+    # every prime divides a denominator, so every prime is skipped
     "denominator-p": (_denominator_p, _denominator_p),
+    # 1009 is skipped, and the next prime gives a try
     "denominator-1009": (_denominator_1009, _denominator_1009),
+    # the lead vanishes modulo every prime, so no try is left
     "lead-primes": (_lead_primes, _lead_primes),
 }
 
