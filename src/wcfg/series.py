@@ -393,8 +393,8 @@ def approximate(system, order):
     degree ``order``, one series per system variable (same order as
     ``system.variables``).
 
-    Computed by the graded sweep of _GradedSweep, from scratch at each
-    call.  A cyclic system, whose weights would be infinite sums, raises
+    Computed by a new graded sweep (_GradedSweep) at each call.  A
+    cyclic system, whose weights would be infinite sums, raises
     NotCycleFree.
     """
     sweep = _GradedSweep(system)
