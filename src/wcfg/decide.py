@@ -42,7 +42,7 @@ from .groebner import (
 from .linalg import nullspace
 from .modular import no_root
 from .monomials import monomials_up_to_degree, mono_degree, mono_divides, mono_div
-from .polynomials import Polynomial, coefficients_in_last, poly_divexact, poly_gcd
+from .polynomials import Polynomial, coefficients, from_coefficients, poly_cofactors, poly_divexact
 from .series import algebraic_system, approximate, eval_poly_at_series, grammar_from_linear
 
 
@@ -153,7 +153,7 @@ def discriminate_factor(candidates, system):
     for candidate in candidates:
         if candidate.syms != syms:
             raise SymbolMismatch(f"candidate over {candidate.syms}, system over {syms}")
-        coeffs.append(coefficients_in_last(candidate))
+        coeffs.append(coefficients(candidate, -1))
     if len(candidates) == 1:
         return 0
     shapes = [(len(c) - 1, max((p.total_degree() for p in c), default=-1)) for c in coeffs]
@@ -221,7 +221,7 @@ def decide_parikh(g):
         linear, order, reason = _linear_factor(poly, system)
     q, witness = certificate, None
     if linear is not None:
-        minus_d, c = coefficients_in_last(linear)
+        minus_d, c = coefficients(linear, -1)
         q = clear_denominators(univar_from_polynomial(certificate, linear))
         witness = grammar_from_linear(c, -minus_d, g.terminals, g.start)
     return DecisionReport(
@@ -243,7 +243,7 @@ def _linear_factor(poly, system):
     among the certificate's coefficients in X.  If the series is d0/c0,
     Gauss's lemma bounds the degrees of c0 and d0 by D, so the first
     candidate is a multiple of (c0, d0) (rational_reconstruct)."""
-    D = max(c.total_degree() for c in coefficients_in_last(poly))
+    D = max(c.total_degree() for c in coefficients(poly, -1))
     order = 2 * D + 1
     pair = rational_reconstruct(approximate(system, order)[0], D, order)
     if pair is None:
@@ -251,24 +251,16 @@ def _linear_factor(poly, system):
     c, d = pair
     # by Gauss's lemma, the primitive c*X - d divides in Q[Sigma][X]
     # exactly when c*X - d divides over Q(Sigma)
-    g = poly_gcd(c, d)
-    primitive = _linear(poly.syms, poly_divexact(c, g), poly_divexact(d, g))
+    c0, d0 = poly_cofactors(c, d)
+    primitive = from_coefficients(poly.syms, -1, [-d0, c0])
     try:
         cofactor = poly_divexact(poly, primitive)
     except NotDivisible:
         return None, order, f"no linear factor at order {order}"
-    factor = _linear(poly.syms, c, d)
+    factor = from_coefficients(poly.syms, -1, [-d, c])
     if discriminate_factor([factor, cofactor], system) != 0:
         return None, order, f"no linear factor at order {order}"
     return factor, order, f"reconstructed factor at order {order}"
-
-
-def _linear(syms, c, d):
-    """c*X - d as a Polynomial over syms, with X the last symbol and c,
-    d over the others."""
-    terms = {m + (1,): v for m, v in c.terms.items()}
-    terms.update((m + (0,), -v) for m, v in d.terms.items())
-    return Polynomial(syms, terms, _clean=False)
 
 
 def render_report(report):

@@ -29,9 +29,10 @@ from .monomials import (
     mono_lcm,
     mono_mul,
 )
-from .polynomials import (Polynomial, RationalFunction, coefficients_in_last, poly_cofactors,
-                          poly_divexact, poly_lcm, poly_primitive, poly_squarefree,
-                          rational_content, render_fraction, render_polynomial)
+from .polynomials import (Polynomial, RationalFunction, add_terms, coefficients,
+                          from_coefficients, mul_terms, poly_cofactors, poly_divexact, poly_lcm,
+                          poly_primitive, poly_squarefree, rational_content, render_fraction,
+                          render_polynomial)
 
 
 def lex_key(mono):
@@ -44,7 +45,8 @@ class SystemPolynomial:
     """A polynomial in the grammar variables with Polynomial
     coefficients in the terminals, ordered by lex_key; or, made by
     monic(), a monic view with RationalFunction coefficients.  The
-    arithmetic works over Q[terminals] only."""
+    arithmetic is the kernel's add_terms and mul_terms, over
+    Q[terminals] only."""
 
     __slots__ = ("syms", "variables", "terms")
 
@@ -121,22 +123,14 @@ class SystemPolynomial:
 
     def __add__(self, other):
         self._check_shape(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return SystemPolynomial(self.syms, self.variables, out)
+        return SystemPolynomial(self.syms, self.variables, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         self._check_shape(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m, prod = mono_mul(m1, m2), c1 * c2
-                out[m] = out[m] + prod if m in out else prod
-        return SystemPolynomial(self.syms, self.variables, out)
+        return SystemPolynomial(self.syms, self.variables, mul_terms(self.terms, other.terms))
 
     def __eq__(self, other):
         return (
@@ -376,11 +370,9 @@ def univar_polynomial(p):
     name = p.variables[0]
     if not p.uses_only(name):
         raise NotUnivariate(f"polynomial is not univariate in {name}")
-    terms = {}
-    for m, c in p.terms.items():
-        for tm, v in c.terms.items():
-            terms[tm + (m[0],)] = v
-    return Polynomial(p.syms + (name,), terms, _clean=False)
+    powers = {m[0]: c for m, c in p.terms.items()}
+    cs = [powers.get(e, Polynomial.zero(p.syms)) for e in range(max(powers, default=-1) + 1)]
+    return from_coefficients(p.syms + (name,), -1, cs)
 
 
 def univar_from_polynomial(template, poly):
@@ -388,7 +380,7 @@ def univar_from_polynomial(template, poly):
     last symbol's powers, as a SystemPolynomial in the first variable
     shaped like the template."""
     rest = (0,) * (len(template.variables) - 1)
-    terms = {(e,) + rest: c for e, c in enumerate(coefficients_in_last(poly))}
+    terms = {(e,) + rest: c for e, c in enumerate(coefficients(poly, -1))}
     return SystemPolynomial(template.syms, template.variables, terms)
 
 

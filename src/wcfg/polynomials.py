@@ -10,6 +10,12 @@ RationalFunction is a reduced fraction of two Polynomials with no
 arithmetic of its own: it is the canonical form of a monic Groebner
 basis coefficient over Q(s1, ..., sn).
 
+This module is the polynomial kernel of the package: add_terms and
+mul_terms are the term arithmetic of Polynomial and of
+groebner.SystemPolynomial, coefficients and from_coefficients the view
+of a polynomial in one main symbol, and poly_cofactors the one call
+that takes a gcd and divides it out.
+
 Canonical forms (load-bearing for printing and witnesses):
 
 * the canonical term order is ascending graded/declaration order
@@ -119,42 +125,13 @@ class Polynomial:
         return Polynomial(self.syms, {m: -c for m, c in self.terms.items()}, _clean=False)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, _ZERO) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        return Polynomial(self.syms, res, _clean=False)
+        return Polynomial(self.syms, add_terms(self.terms, self._coerce(other).terms), _clean=False)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, _ZERO) - c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        return Polynomial(self.syms, res, _clean=False)
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.syms)
-        small, big = sorted((self.terms, other.terms), key=len)
-        res = {}
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m, _ZERO) + c1 * c2
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
-        return Polynomial(self.syms, res, _clean=False)
+        return Polynomial(self.syms, mul_terms(self.terms, self._coerce(other).terms), _clean=False)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -194,6 +171,38 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({render_polynomial(self)})"
+
+
+def add_terms(a, b):
+    """The sum of two term dicts {monomial: coefficient}, zero sums
+    dropped; a monomial new to the sum is stored as it is."""
+    out = dict(a)
+    for m, c in b.items():
+        if m not in out:
+            out[m] = c
+        elif s := out[m] + c:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def mul_terms(a, b):
+    """The product of two term dicts, zero sums dropped; the shorter one
+    is the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            if m not in out:
+                out[m] = c1 * c2
+            elif s := out[m] + c1 * c2:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
 def rational_content(polys):
@@ -288,33 +297,26 @@ def _mono_content(p):
     return m
 
 
-def _coeff_list(p, v):
-    """p as an ascending coefficient list in the symbol with index v; each
-    entry is a Polynomial free of that symbol."""
+def coefficients(p, v):
+    """p as an ascending coefficient list in the symbol with index v, top
+    zeros trimmed; each entry is a Polynomial in the other symbols."""
+    v %= len(p.syms)
     buckets = {}
     for m, c in p.terms.items():
-        buckets.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1 :]] = c
-    cs = [Polynomial.zero(p.syms)] * (max(buckets) + 1)
-    for e, terms in buckets.items():
-        cs[e] = Polynomial(p.syms, terms, _clean=False)
-    return cs
-
-
-def coefficients_in_last(p):
-    """p as an ascending coefficient list in its last symbol, top zeros
-    trimmed; each entry is a Polynomial in the other symbols."""
-    buckets = {}
-    for m, c in p.terms.items():
-        buckets.setdefault(m[-1], {})[m[:-1]] = c
-    return [Polynomial(p.syms[:-1], buckets.get(e, {}), _clean=False)
+        buckets.setdefault(m[v], {})[m[:v] + m[v + 1 :]] = c
+    syms = p.syms[:v] + p.syms[v + 1 :]
+    return [Polynomial(syms, buckets.get(e, {}), _clean=False)
             for e in range(max(buckets, default=-1) + 1)]
 
 
-def _from_coeff_list(syms, v, cs):
+def from_coefficients(syms, v, cs):
+    """Inverse of coefficients: the sum of cs[e] times the e-th power of
+    the symbol with index v, as a Polynomial over syms."""
+    v %= len(syms)
     terms = {}
     for e, poly in enumerate(cs):
         for m, c in poly.terms.items():
-            terms[m[:v] + (e,) + m[v + 1 :]] = c
+            terms[m[:v] + (e,) + m[v:]] = c
     return Polynomial(syms, terms, _clean=False)
 
 
@@ -519,8 +521,8 @@ def _gcd_prs(p, q):
     index occurring in p or q, with the gcd of the contents multiplied
     back at the end."""
     v = max(i for m in (*p.terms, *q.terms) for i, e in enumerate(m) if e)
-    cont_p, a = poly_primitive(_coeff_list(p, v))
-    cont_q, b = poly_primitive(_coeff_list(q, v))
+    cont_p, a = poly_primitive(coefficients(p, v))
+    cont_q, b = poly_primitive(coefficients(q, v))
     cont = poly_gcd(cont_p, cont_q)
     if len(a) < len(b):
         a, b = b, a
@@ -530,7 +532,7 @@ def _gcd_prs(p, q):
         if not r:
             break
         a, b = b, poly_primitive(r)[1]
-    return (cont * _from_coeff_list(p.syms, v, b)).primitive_part()
+    return from_coefficients(p.syms, v, [cont * c for c in b]).primitive_part()
 
 
 def poly_cofactors(p, q):
@@ -549,15 +551,13 @@ def poly_squarefree(p):
         return Polynomial.const(p.syms, 1)
     der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
                               for m, c in p.terms.items() if m[-1]}, _clean=False)
-    return poly_divexact(p, poly_gcd(p, der))
+    return poly_cofactors(p, der)[0]
 
 
 def poly_lcm(p, q):
     if p.is_zero() or q.is_zero():
         return Polynomial.zero(p.syms)
-    g = poly_gcd(p, q)
-    out = poly_divexact(p * q, g)
-    return out.primitive_part()
+    return (p * poly_divexact(q, poly_gcd(p, q))).primitive_part()
 
 
 class RationalFunction:
@@ -613,17 +613,13 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"RationalFunction({render_ratfun(self)})"
-
-
-def render_ratfun(f):
-    """`(num)/(den)`, or the bare polynomial when the denominator is 1;
-    one-term fractions compact to `(num/den)`."""
-    return render_fraction(f.num, f.den)
+        return f"RationalFunction({render_fraction(self.num, self.den)})"
 
 
 def render_fraction(num, den):
-    """render_ratfun of the reduced fraction num/den."""
+    """The reduced fraction num/den as `(num)/(den)`, or the bare
+    polynomial when the denominator is 1; one-term fractions compact to
+    `(num/den)`."""
     if den.is_one():
         return render_polynomial(num)
     top, bottom = render_polynomial(num), render_polynomial(den)

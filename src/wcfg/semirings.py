@@ -11,6 +11,7 @@ All weight values are plain Python objects (Fraction / int / inf) so they
 hash, compare and render without wrappers.
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import GrammarFormatError
@@ -64,10 +65,6 @@ def _parse_rational(text):
     return value
 
 
-def _render_rational(value):
-    return str(value)
-
-
 def _parse_natural(text):
     try:
         value = int(text)
@@ -113,10 +110,10 @@ RATIONALS = Semiring(
     keyword="Q",
     zero=Fraction(0),
     one=Fraction(1),
-    add=lambda x, y: x + y,
-    mul=lambda x, y: x * y,
+    add=operator.add,
+    mul=operator.mul,
     parse=_parse_rational,
-    render=_render_rational,
+    render=str,
     check=_check_rational,
 )
 
@@ -125,10 +122,10 @@ NATURALS = Semiring(
     keyword="N",
     zero=0,
     one=1,
-    add=lambda x, y: x + y,
-    mul=lambda x, y: x * y,
+    add=operator.add,
+    mul=operator.mul,
     parse=_parse_natural,
-    render=lambda v: str(v),
+    render=str,
     check=_check_natural,
 )
 
@@ -138,7 +135,7 @@ TROPICAL = Semiring(
     zero=INF,
     one=0,
     add=min,
-    mul=lambda x, y: x + y,
+    mul=operator.add,
     parse=_parse_tropical,
     render=_render_tropical,
     check=_check_tropical,

@@ -34,7 +34,7 @@ from wcfg.linalg import nullspace
 from wcfg.groebner import univar_gcd_squarefree, univar_polynomial
 from wcfg.modular import POINT_BASES, no_root
 from wcfg.monomials import monomials_up_to_degree
-from wcfg.polynomials import coefficients_in_last
+from wcfg.polynomials import coefficients
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
 
@@ -213,7 +213,7 @@ def test_certificate_annihilates_the_series(name):
     report = decide_parikh(g)
     series = grammar_series(g, 12)
     assert all(isinstance(c, Polynomial) for c in report.q.terms.values())
-    coeffs = coefficients_in_last(univar_polynomial(report.q))
+    coeffs = coefficients(univar_polynomial(report.q), -1)
     assert eval_poly_at_series(coeffs, series, 12).is_zero()
 
 
@@ -599,7 +599,7 @@ def check_pinned_document(text, q, order, verdict, reason):
     assert (report.verdict, render_system_polynomial(report.q),
             report.discrimination_order) == (verdict, q, order)
     assert report.reason == reason
-    coeffs = coefficients_in_last(univar_polynomial(report.q))
+    coeffs = coefficients(univar_polynomial(report.q), -1)
     assert eval_poly_at_series(coeffs, parikh_series_bruteforce(g, 5), 5).is_zero()
 
 
@@ -825,5 +825,5 @@ def test_the_no_root_proof_agrees_with_the_reconstruction(seed, shape):
         reconstructed = decide_parikh(g)
     assert (reconstructed.verdict, render_system_polynomial(reconstructed.q)) == \
         ("fails", render_system_polynomial(report.q))
-    coeffs = coefficients_in_last(univar_polynomial(certificate(g)))
+    coeffs = coefficients(univar_polynomial(certificate(g)), -1)
     assert reconstructed.discrimination_order == 2 * max(c.total_degree() for c in coeffs) + 1

@@ -26,7 +26,7 @@ from wcfg.errors import NotUnivariate, NoUnivariateElement, SymbolMismatch, Zero
 from wcfg.groebner import (buchberger, lex_key, reduce_basis, s_polynomial,
                            univar_from_polynomial, univar_polynomial)
 from wcfg.monomials import mono_divides, mono_gcd, mono_is_one, mono_lcm
-from wcfg.polynomials import coefficients_in_last, poly_gcd, rational_content
+from wcfg.polynomials import coefficients, poly_gcd, rational_content
 
 from fixtures import GRAMMARS_DIR, deadline, fixture_path, load_fixture
 from system_gen import random_system
@@ -492,9 +492,9 @@ def test_the_zero_ideal_has_no_basis():
 
 def test_coefficients_in_last_are_ascending_over_the_other_symbols():
     poly = Polynomial(("a", "X"), {(1, 2): 3, (0, 0): -1})
-    assert coefficients_in_last(poly) == [
+    assert coefficients(poly, -1) == [
         Polynomial.const(SYMS, -1), Polynomial.zero(SYMS), A.scale(3)]
-    assert coefficients_in_last(Polynomial.zero(("a", "X"))) == []
+    assert coefficients(Polynomial.zero(("a", "X")), -1) == []
 
 
 def test_univar_gcd_squarefree():

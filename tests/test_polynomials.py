@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 from math import prod
 
 import pytest
@@ -12,13 +13,18 @@ from wcfg.errors import (
     ZeroDenominator,
 )
 from wcfg.modular import POINT_BASES, PRIMES, images
+from wcfg.monomials import mono_mul
 from wcfg.polynomials import (
+    add_terms,
+    coefficients,
+    from_coefficients,
+    mul_terms,
     poly_divexact,
     poly_gcd,
     poly_lcm,
     poly_squarefree,
+    render_fraction,
     render_polynomial,
-    render_ratfun,
 )
 
 from fixtures import deadline
@@ -118,6 +124,25 @@ def test_lcm_of_denominators():
 _coeff = st.integers(min_value=-4, max_value=4).map(Fraction)
 _mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
 _poly = st.dictionaries(_mono, _coeff, max_size=4).map(lambda d: Polynomial(SYMS, d))
+
+
+def collected(terms):
+    """Sum the coefficients of (monomial, coefficient) pairs by monomial,
+    then drop the zero sums."""
+    out = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@given(p=_poly, q=_poly, cancel=st.booleans())
+def test_term_arithmetic_matches_a_naive_collection(p, q, cancel):
+    if cancel:  # every term of p cancels in p + q
+        q = Polynomial(SYMS, {**q.terms, **(-p).terms})
+    for x, y in ((p, q), (p + q, p - q)):
+        assert add_terms(x.terms, y.terms) == collected([*x.terms.items(), *y.terms.items()])
+        assert mul_terms(x.terms, y.terms) == collected(
+            (mono_mul(m1, m2), c1 * c2) for m1, c1 in x.terms.items() for m2, c2 in y.terms.items())
 
 
 @given(p=_poly, q=_poly, r=_poly)
@@ -220,6 +245,10 @@ def test_a_failed_evaluation_point_is_retried_before_the_fallback(monkeypatch):
 @given(p=_poly, q=_poly)
 @settings(max_examples=60)
 def test_exact_division_round_trip(p, q):
+    for v in (0, 1, -1):
+        cs = coefficients(p, v)
+        assert not cs or cs[-1]
+        assert from_coefficients(SYMS, v, cs) == p
     if q.is_zero():
         return
     prod = p * q
@@ -244,10 +273,22 @@ ax, bx, X = (Polynomial.variable(SYMSX, s) for s in SYMSX)
 onex = Polynomial.const(SYMSX, 1)
 
 
-def exact_squarefree(p):
-    der = Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
-                              for m, c in p.terms.items() if m[-1]})
-    return poly_divexact(p, poly_gcd(p, der))
+def derivative(p):
+    """dp/dX for X the last symbol."""
+    return Polynomial(p.syms, {m[:-1] + (m[-1] - 1,): c * m[-1]
+                               for m, c in p.terms.items() if m[-1]})
+
+
+def assert_is_squarefree_part(part, p):
+    """part divides p; p's primitive part in X, p over the gcd of its
+    coefficients in X, divides part^deg_X(p), so part has every factor of
+    p that involves X; and part is coprime to its derivative, so each of
+    them once and no factor free of X."""
+    cs = coefficients(p, -1)
+    content = from_coefficients(p.syms, -1, [reduce(poly_gcd, cs)])
+    assert poly_divides(part, p)
+    assert poly_divides(poly_divexact(p, content), prod([part] * (len(cs) - 1)))
+    assert poly_gcd(part, derivative(part)).is_constant()
 
 
 _f, _g = X + ax, X - bx * bx + onex
@@ -279,7 +320,8 @@ SQUAREFREE_CASES = {
 @pytest.mark.parametrize("name", sorted(SQUAREFREE_CASES))
 def test_squarefree_part_with_and_without_the_certificate(name):
     p, part = SQUAREFREE_CASES[name]
-    assert poly_squarefree(p) == exact_squarefree(p) == part
+    assert poly_squarefree(p) == part
+    assert_is_squarefree_part(part, p)
 
 
 def test_the_squarefree_tries_skip_a_prime_and_a_lead():
@@ -295,10 +337,10 @@ _polyab = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.jus
 
 @given(content=_polyab, p=_polyx, square=st.booleans())
 @settings(max_examples=80)
-def test_squarefree_matches_the_exact_gcd(content, p, square):
+def test_squarefree_part_divides_p_and_is_squarefree(content, p, square):
     p = content * (p * p if square else p)
     assume(any(m[-1] for m in p.terms))
-    assert poly_squarefree(p) == exact_squarefree(p)
+    assert_is_squarefree_part(poly_squarefree(p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -325,5 +367,6 @@ def test_ratfun_zero_denominator_rejected():
 
 
 def test_render_ratfun_forms():
-    assert render_ratfun(RationalFunction(a, b)) == "(a/b)"
-    assert render_ratfun(RationalFunction(one, one - b)) == "(1)/(1 - b)"
+    assert render_fraction(a, b) == "(a/b)"
+    assert render_fraction(one, one - b) == "(1)/(1 - b)"
+    assert repr(RationalFunction(one, one - b)) == "RationalFunction((1)/(1 - b))"
