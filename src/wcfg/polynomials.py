@@ -128,7 +128,7 @@ class Polynomial:
         return Polynomial(self.syms, add_terms(self.terms, self._coerce(other).terms), _clean=False)
 
     def __sub__(self, other):
-        return self + -self._coerce(other)
+        return self + -other
 
     def __mul__(self, other):
         return Polynomial(self.syms, mul_terms(self.terms, self._coerce(other).terms), _clean=False)
