@@ -18,6 +18,7 @@ cycle-free, 4 grammar expansive, 5 wrong semiring for the subcommand,
 """
 
 import argparse
+import re
 import sys
 
 from .analysis import degree, dimension_bound, is_cycle_free, is_nonexpansive
@@ -30,7 +31,7 @@ from .errors import (
     WrongSemiring,
 )
 from .grammar import Grammar, load_grammar, render_grammar
-from .groebner import groebner_basis, reduce_basis, render_system_polynomial, system_polynomials
+from .groebner import buchberger, reduce_basis, render_system_polynomial, system_polynomials
 from .monomials import grade_key, render_monomial
 from .regularize import level_of, regularize
 from .series import algebraic_system, grammar_series, render_series
@@ -141,7 +142,9 @@ def cmd_groebner(args):
             f"the basis computation needs semiring Q, got {g.semiring.name}"
         )
     system = algebraic_system(g)
-    basis = reduce_basis(groebner_basis(system_polynomials(system)))
+    # reduce_basis starts from minimal_basis and makes each element monic
+    # once; groebner_basis's monic views would only be cleared again
+    basis = reduce_basis(buchberger(system_polynomials(system)))
     print("basis:")
     for element in basis:
         print(render_system_polynomial(element))
@@ -151,11 +154,14 @@ def cmd_groebner(args):
 
 
 def nonnegative(text):
-    """Argument type for a nonnegative integer: a truncation order or a level."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    """Argument type for a nonnegative integer in ASCII digits, [0-9]+:
+    a truncation order or a level.  A negative integer is named as such;
+    argparse reports any other spelling as an invalid value."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(text)
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
 
 
 def build_parser():

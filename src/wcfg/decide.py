@@ -10,10 +10,11 @@ series as its root.  The pipeline therefore eliminates down to one
 variable, clears denominators, and either reads the linear certificate
 off directly, proves that no linear factor exists because an image of
 the certificate modulo a small prime has no root, or reconstructs the
-series once as a ratio of bounded-degree polynomials and checks
-divisibility symbolically.  A witness grammar
-is rebuilt from the linear form X = s*X + t, whose fixed point is the
-series itself.
+series once as a ratio of bounded-degree polynomials, checks
+divisibility symbolically, and tells the factor from its cofactor by
+one evaluation at the series order their degrees bound.  A witness
+grammar is rebuilt from the linear form X = s*X + t, whose fixed point
+is the series itself.
 """
 
 from dataclasses import dataclass
@@ -127,9 +128,8 @@ def rational_reconstruct(r1, D, k):
 
 def discriminate_factor(candidates, system):
     """Index of the unique candidate polynomial annihilating the
-    system's start series r, found by evaluating all candidates at the
-    series truncated at orders 4, 8, 16, ... and discarding any with a
-    nonzero value.
+    system's start series r, found by evaluating every candidate once
+    at the series truncated at the degree bound below.
 
     Each candidate is a Polynomial over the system's terminals plus its
     start variable, last, as univar_polynomial makes it; a candidate
@@ -137,16 +137,16 @@ def discriminate_factor(candidates, system):
 
     Precondition (caller-guaranteed): exactly one candidate vanishes at
     r, and the candidates are pairwise coprime, as a squarefree
-    certificate's factor and cofactor are.  The doubling then stops once
-    the order reaches the largest n_i*D_j + n_j*D_i over pairs i != j,
-    n a candidate's degree in X and D the largest total degree of its
-    coefficients.  For coprime P, Q with P(r) = 0, the resultant
-    Res_X(P, Q) = A*P + B*Q is a nonzero terminal polynomial with
-    B(r)*Q(r) = Res, so Q(r) has a nonzero term of degree at most
-    deg Res <= n_P*D_Q + n_Q*D_P (the Sylvester matrix's degrees).
-    Raises IterationCapExceeded when every candidate is eliminated, or
-    more than one is left at that order: a violated precondition, not a
-    data condition.
+    certificate's factor and cofactor are.  Every other candidate then
+    has a nonzero term at the order bound, the largest
+    n_i*D_j + n_j*D_i over pairs i != j, n a candidate's degree in X
+    and D the largest total degree of its coefficients.  For coprime
+    P, Q with P(r) = 0, the resultant Res_X(P, Q) = A*P + B*Q is a
+    nonzero terminal polynomial with B(r)*Q(r) = Res, so Q(r) has a
+    nonzero term of degree at most deg Res <= n_P*D_Q + n_Q*D_P (the
+    Sylvester matrix's degrees).  Raises IterationCapExceeded when no
+    candidate, or more than one, vanishes at that order: a violated
+    precondition, not a data condition.
     """
     syms = system.terminals + (system.variables[0],)
     coeffs = []
@@ -157,28 +157,16 @@ def discriminate_factor(candidates, system):
     if len(candidates) == 1:
         return 0
     shapes = [(len(c) - 1, max((p.total_degree() for p in c), default=-1)) for c in coeffs]
-    cap = max(ni * dj + nj * di for i, (ni, di) in enumerate(shapes)
-              for j, (nj, dj) in enumerate(shapes) if i != j)
-    alive = set(range(len(candidates)))
-    order = 4
-    while True:
-        r1 = approximate(system, order)[0]
-        for i in sorted(alive):
-            value = eval_poly_at_series(coeffs[i], r1, order)
-            if value.coeffs:
-                alive.discard(i)
-        if len(alive) == 1:
-            return alive.pop()
-        if not alive:
-            raise IterationCapExceeded(
-                f"every candidate factor was eliminated at order {order}"
-            )
-        if order >= cap:
-            raise IterationCapExceeded(
-                f"factor discrimination still ambiguous at order {order}, "
-                f"past the degree bound {cap}"
-            )
-        order *= 2
+    bound = max(ni * dj + nj * di for i, (ni, di) in enumerate(shapes)
+                for j, (nj, dj) in enumerate(shapes) if i != j)
+    r1 = approximate(system, bound)[0]
+    vanishing = [i for i, c in enumerate(coeffs) if eval_poly_at_series(c, r1, bound).is_zero()]
+    if len(vanishing) != 1:
+        raise IterationCapExceeded(
+            f"{len(vanishing)} of {len(candidates)} candidate factors vanish "
+            f"at order {bound}, the degree bound"
+        )
+    return vanishing[0]
 
 
 def decide_parikh(g):

@@ -93,8 +93,8 @@ class DegenerateLeadingTerm(WcfgError):
 
 
 class IterationCapExceeded(WcfgError):
-    """Series discrimination eliminated every candidate factor, or still
-    kept more than one at the order its degree bound guarantees: the
+    """Series discrimination found no candidate factor, or more than
+    one, vanishing at the order its degree bound guarantees: the
     candidates were not as its precondition requires."""
 
 
@@ -103,11 +103,6 @@ class SymbolMismatch(WcfgError):
     polynomials over different terminals or grammar variables, or two
     series over different symbol lists or semirings, met in one
     operation."""
-
-
-class PrecisionExceeded(WcfgError):
-    """A truncated series was asked for terms above the order it was
-    truncated at, which it does not know."""
 
 
 class BrokenDerivation(WcfgError):

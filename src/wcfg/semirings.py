@@ -12,13 +12,12 @@ hash, compare and render without wrappers.
 """
 
 import operator
+import re
 from fractions import Fraction
 
 from .errors import GrammarFormatError
 
 INF = float("inf")
-
-_WEIGHT_RE_NOTE = "integer, or p/q for the rational semiring, or inf for the tropical semiring"
 
 
 class Semiring:
@@ -53,38 +52,36 @@ class Semiring:
         return value == self.zero
 
 
+# weights are spelled in ASCII digits only, whatever else int() accepts
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_rational(text):
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise GrammarFormatError(f"malformed rational weight {text!r}") from None
-    return value
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[2] is not None and not int(match[2]):
+        raise GrammarFormatError(f"malformed rational weight {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
+def _parse_count(kind, expected, text):
+    """A nonnegative integer, [0-9]+; a negative one is named as such."""
+    if _INTEGER.fullmatch(text) is None:
+        raise GrammarFormatError(f"malformed {kind} weight {text!r} (expected {expected})")
+    if text.startswith("-"):
+        raise GrammarFormatError(f"{kind} weight must be nonnegative, got {text}")
+    return int(text)
 
 
 def _parse_natural(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise GrammarFormatError(f"malformed natural weight {text!r} (expected a nonnegative integer)") from None
-    if value < 0:
-        raise GrammarFormatError(f"natural weight must be nonnegative, got {text}")
-    return value
+    return _parse_count("natural", "a nonnegative integer", text)
 
 
 def _parse_tropical(text):
     if text == "inf":
         return INF
-    try:
-        value = int(text)
-    except ValueError:
-        raise GrammarFormatError(f"malformed tropical weight {text!r} (expected a nonnegative integer or inf)") from None
-    if value < 0:
-        raise GrammarFormatError(f"tropical weight must be nonnegative, got {text}")
-    return value
+    return _parse_count("tropical", "a nonnegative integer or inf", text)
 
 
 def _render_tropical(value):

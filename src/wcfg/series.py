@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 
-from .errors import DegenerateLeadingTerm, NotCycleFree, PrecisionExceeded, SymbolMismatch
+from .errors import DegenerateLeadingTerm, NotCycleFree, SymbolMismatch
 from .grammar import Grammar, Rule
 from .monomials import (
     grade_key,
@@ -66,16 +66,6 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self.coeffs
-
-    def truncated(self, order):
-        """A copy keeping only terms of total degree <= order; raising
-        the order would claim coefficients the series does not know, and
-        raises PrecisionExceeded."""
-        if order > self.order:
-            raise PrecisionExceeded(
-                f"series truncated at order {self.order} cannot be read at order {order}")
-        kept = {m: w for m, w in self.coeffs.items() if mono_degree(m) <= order}
-        return TruncatedSeries(self.semiring, self.syms, order, kept)
 
     def _common_order(self, other):
         """The order both operands are known to: the lower one.  Series
@@ -417,19 +407,15 @@ def poly_to_series(poly, order):
 
 
 def eval_poly_at_series(coeffs, series, order):
-    """Evaluate sum_j coeffs[j] * series^j, truncated at the order.
+    """Evaluate sum_j coeffs[j] * series^j, truncated at the order, by
+    Horner's rule: one series product per degree.
 
     ``coeffs`` lists polynomials over the terminal symbols by ascending
     power of the series argument.
     """
     acc = TruncatedSeries.zero(RATIONALS, series.syms, order)
-    power = TruncatedSeries.one(RATIONALS, series.syms, order)
-    for j, poly in enumerate(coeffs):
-        if j > 0:
-            power = power * series
-        if poly.is_zero():
-            continue
-        acc = acc + poly_to_series(poly, order) * power
+    for poly in reversed(coeffs):
+        acc = acc * series + poly_to_series(poly, order)
     return acc
 
 

@@ -56,10 +56,6 @@ def tree_weight(grammar, tree):
     return w
 
 
-def tree_size(tree):
-    return 1 + sum(tree_size(c) for c in tree.children)
-
-
 def combine_dimensions(dims):
     """Dimension of a node whose children have dimensions `dims`: their
     maximum, plus one when that maximum is attained at least twice; 0

@@ -278,6 +278,25 @@ def test_non_utf8_document_is_a_format_error(tmp_path, capsys):
     assert err.startswith("error: ") and "not UTF-8" in err
 
 
+def test_a_weight_outside_ascii_digits_is_a_format_error(tmp_path, capsys):
+    doc = tmp_path / "underscore.wcfg"
+    doc.write_text("semiring Q\nterminals a\nvariables X\nstart X\nrule X -> a : 1_0\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "series", str(doc), "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: line 5: malformed rational weight '1_0'\n"
+
+
+@pytest.mark.parametrize("order", ["1_0", "+2", "\u0663", "\uff15", " 3"])
+def test_order_outside_ascii_digits_is_a_usage_error(order, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["series", fixture_path("catalan.wcfg"), "--order", order])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid nonnegative value: {order!r}" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("series", "catalan.wcfg", "--order", "-1"),
     ("equiv", "catalan.wcfg", "catalan.wcfg", "--order", "-3"),

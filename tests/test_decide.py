@@ -336,13 +336,16 @@ def test_discriminate_factor_prefers_the_annihilating_candidate():
     bad = linear_in_x(1)   # (1-a) X - 1
     assert discriminate_factor([good], system) == 0
     assert discriminate_factor([bad, good], system) == 1
-    with pytest.raises(IterationCapExceeded, match="eliminated"):
+    # (n, D) = (1, 1) twice: one evaluation at the bound 1*1 + 1*1 = 2
+    with pytest.raises(IterationCapExceeded,
+                       match=r"^0 of 2 candidate factors vanish at order 2, the degree bound$"):
         discriminate_factor([bad, bad.scale(2)], system)
-    # both vanish: the degree bound 1*1 + 1*1 = 2 stops at the first order
-    with pytest.raises(IterationCapExceeded, match="ambiguous at order 4,"):
+    with pytest.raises(IterationCapExceeded,
+                       match=r"^2 of 2 candidate factors vanish at order 2, the degree bound$"):
         discriminate_factor([good, good.scale(2)], system)
-    # (n, D) = (1, 1) and (3, 3): the bound 6 stops the doubling at 8
-    with pytest.raises(IterationCapExceeded, match="ambiguous at order 8,"):
+    # (n, D) = (1, 1) and (3, 3): the bound is 1*3 + 3*1 = 6
+    with pytest.raises(IterationCapExceeded,
+                       match=r"^2 of 2 candidate factors vanish at order 6, the degree bound$"):
         discriminate_factor([good, good * bad * bad], system)
 
 
@@ -352,6 +355,23 @@ def test_reconstruction_succeeds_within_the_first_round():
     report = decide_parikh(g)
     assert report.verdict == "holds"
     assert report.discrimination_order == 11
+
+
+def test_discrimination_reads_one_series_at_its_bound(monkeypatch):
+    # the reconstruction at 2D+1 = 11, then one series for the factor,
+    # (n, D) = (1, 1), and its cofactor, (2, 4), at their bound
+    # 1*4 + 2*1 = 6
+    orders = []
+    inner = approximate
+
+    def recorded(system, order):
+        orders.append(order)
+        return inner(system, order)
+
+    monkeypatch.setattr("wcfg.decide.approximate", recorded)
+    report = decide_parikh(load_fixture("catalan_cancellation.wcfg"))
+    assert report.verdict == "holds"
+    assert orders == [11, 6]
 
 
 def test_a_cofactor_that_wins_discrimination_proves_fails(monkeypatch):

@@ -231,12 +231,16 @@ def count_calls(monkeypatch, owner, name):
 
 def test_groebner_subcommand_computes_one_basis(monkeypatch, capsys):
     # each wrapped at the name its caller looks up
-    calls = count_calls(monkeypatch, importlib.import_module("wcfg.groebner"), "buchberger")
-    reductions = count_calls(monkeypatch, importlib.import_module("wcfg.cli"), "reduce_basis")
+    cli = importlib.import_module("wcfg.cli")
+    calls = count_calls(monkeypatch, cli, "buchberger")
+    reductions = count_calls(monkeypatch, cli, "reduce_basis")
+    monics = count_calls(monkeypatch, SystemPolynomial, "monic")
     assert main(["groebner", fixture_path("unary_double.wcfg")]) == 0
     assert capsys.readouterr().out == "\n".join(GROEBNER_STDOUT["unary_double"]) + "\n"
     assert len(calls) == 1
     assert len(reductions) == 1
+    # one monic view per printed basis element, none cleared again
+    assert len(monics) == len(GROEBNER_STDOUT["unary_double"]) - 2 == 5
 
 
 def test_basis_is_invariant_under_generator_permutation_and_scaling():

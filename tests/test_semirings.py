@@ -44,6 +44,29 @@ def test_parse_rejects_malformed_weights():
         TROPICAL.parse("-2")
 
 
+# weights are ASCII digits: Q -?[0-9]+(/[0-9]+)?, N [0-9]+, tropical
+# [0-9]+ or inf; int() alone would read 1_0, +2 and other digits too
+_ODD_SPELLINGS = ["1_0", "+2", "\u0663", "\uff15", " 3", "3 ", ""]
+
+
+@pytest.mark.parametrize("semiring,text", [
+    (RATIONALS, "1/-2"), (RATIONALS, "1/+2"), (RATIONALS, "1/2/3"), (RATIONALS, "-"),
+    (RATIONALS, "inf"), (NATURALS, "-0"), (NATURALS, "inf"), (TROPICAL, "1/2"),
+    (TROPICAL, "Inf"),
+] + [(s, text) for s in (RATIONALS, NATURALS, TROPICAL) for text in _ODD_SPELLINGS])
+def test_parse_rejects_weights_outside_ascii_digits(semiring, text):
+    with pytest.raises(GrammarFormatError):
+        semiring.parse(text)
+
+
+def test_parse_reads_ascii_digits():
+    assert RATIONALS.parse("-0") == 0
+    assert RATIONALS.parse("007/014") == Fraction(1, 2)
+    assert isinstance(RATIONALS.parse("5"), Fraction)
+    assert NATURALS.parse("010") == 10
+    assert TROPICAL.parse("0") == 0
+
+
 def test_check_accepts_own_values_only():
     assert RATIONALS.check(Fraction(1, 3)) and RATIONALS.check(-2)
     assert not RATIONALS.check(0.5)

@@ -20,7 +20,6 @@ from wcfg.trees import (
     ParseTree,
     derivation_from_tree,
     min_yield_lengths,
-    tree_size,
 )
 
 from wcfg import regularize
@@ -40,7 +39,6 @@ def test_yield_weight_and_shape():
     assert tree_yield(BT, SMALL) == ("a", "a", "a")
     assert tree_yield(BT, TALL) == ("a", "b", "a", "a")
     assert tree_weight(BT, SMALL) == Fraction(1)
-    assert tree_size(TALL) == 4
 
 
 def test_weights_multiply_along_the_tree():
