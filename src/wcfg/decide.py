@@ -138,7 +138,7 @@ def discriminate_factor(candidates, system):
     Precondition (caller-guaranteed): exactly one candidate vanishes at
     r, and the candidates are pairwise coprime, as a squarefree
     certificate's factor and cofactor are.  Every other candidate then
-    has a nonzero term at the order bound, the largest
+    has a nonzero term of degree at most the bound, the largest
     n_i*D_j + n_j*D_i over pairs i != j, n a candidate's degree in X
     and D the largest total degree of its coefficients.  For coprime
     P, Q with P(r) = 0, the resultant Res_X(P, Q) = A*P + B*Q is a

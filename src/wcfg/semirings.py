@@ -59,7 +59,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _parse_rational(text):
     match = _RATIONAL.fullmatch(text)
-    if match is None or match[2] is not None and not int(match[2]):
+    if match is None or (match[2] is not None and int(match[2]) == 0):
         raise GrammarFormatError(f"malformed rational weight {text!r}")
     num, den = match.groups()
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
