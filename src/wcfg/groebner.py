@@ -13,8 +13,8 @@ division step scales the dividend by a polynomial instead of dividing
 by a leading coefficient, a change by a nonzero factor of the field
 K = Q(terminals) only.  The minimal basis is returned as monic views
 over K (SystemPolynomial.monic), and reduce_basis makes it the reduced
-one; every function taking system polynomials clears a view's
-denominators first.
+one; every function taking system polynomials clears a view first,
+back to the primitive part of the polynomial it presents.
 """
 
 import heapq
@@ -30,9 +30,8 @@ from .monomials import (
     mono_mul,
 )
 from .polynomials import (Polynomial, RationalFunction, add_terms, coefficients,
-                          from_coefficients, mul_terms, poly_cofactors, poly_divexact, poly_lcm,
-                          poly_primitive, poly_squarefree, rational_content, render_fraction,
-                          render_polynomial)
+                          from_coefficients, mul_terms, poly_cofactors, poly_primitive,
+                          poly_squarefree, rational_content, render_fraction, render_polynomial)
 
 
 def lex_key(mono):
@@ -44,16 +43,17 @@ def lex_key(mono):
 class SystemPolynomial:
     """A polynomial in the grammar variables with Polynomial
     coefficients in the terminals, ordered by lex_key; or, made by
-    monic(), a monic view with RationalFunction coefficients.  The
-    arithmetic is the kernel's add_terms and mul_terms, over
-    Q[terminals] only."""
+    monic(), a monic view with RationalFunction coefficients, which
+    keeps the polynomial it presents.  The arithmetic is the kernel's
+    add_terms and mul_terms, over Q[terminals] only."""
 
-    __slots__ = ("syms", "variables", "terms")
+    __slots__ = ("syms", "variables", "terms", "_source")
 
     def __init__(self, syms, variables, terms):
         self.syms = tuple(syms)
         self.variables = tuple(variables)
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self._source = None
 
     @classmethod
     def variable(cls, syms, variables, name):
@@ -72,21 +72,21 @@ class SystemPolynomial:
         return m, self.terms[m]
 
     def cleared(self):
-        """The polynomial over Q[terminals]: a view times the lcm of its
-        coefficient denominators, any other polynomial as it is."""
-        if not isinstance(next(iter(self.terms.values()), None), RationalFunction):
-            return self
-        lcm = Polynomial.const(self.syms, 1)
-        for c in self.terms.values():
-            lcm = poly_lcm(lcm, c.den)
-        return self._map(lambda c: c.num if c.den == lcm else c.num * poly_divexact(lcm, c.den))
+        """The polynomial over Q[terminals]: for a view, the primitive
+        part of the polynomial it presents, so equal views clear to
+        equal polynomials; any other polynomial as it is."""
+        return self if self._source is None else self._source.primitive()
 
     def monic(self):
         """The monic view over Q(terminals): each coefficient divided by
-        the leading one, as a reduced RationalFunction."""
+        the leading one, as a reduced RationalFunction.  The view keeps
+        the polynomial it divides (a view's own, cleared), which
+        cleared() reads."""
         p = self.cleared()
         _, lc = p.lead_term()
-        return p._map(lambda c: RationalFunction(c, lc))
+        view = p._map(lambda c: RationalFunction(c, lc))
+        view._source = p
+        return view
 
     def primitive(self):
         """The polynomial over Q[terminals] divided by the gcd of its
@@ -158,8 +158,8 @@ class SystemPolynomial:
 def clear_denominators(p):
     """p over Q[terminals] divided by its rational content, with the
     sign that makes the first (lowest) term of its leading coefficient
-    positive; a view is first scaled by the lcm of its coefficient
-    denominators.  No polynomial factor is divided out."""
+    positive; a view is cleared first (SystemPolynomial.cleared).  No
+    other polynomial factor is divided out."""
     p = p.cleared()
     if p.is_zero():
         return p

@@ -7,6 +7,7 @@ degree, and inside a degree earlier-declared symbols come first (so over
 (a, b): 1, a, b, a^2, a*b, b^2, ...).
 """
 
+from itertools import combinations_with_replacement
 from operator import add, neg
 
 
@@ -62,23 +63,7 @@ def render_monomial(m, names):
 
 def monomials_up_to_degree(n, k):
     """All exponent tuples of length n with total degree <= k, in canonical
-    ascending order."""
-    out = []
-    for m in range(k + 1):
-        level = []
-
-        def fill_exact(prefix, remaining, slots):
-            if slots == 1:
-                level.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining + 1):
-                fill_exact(prefix + [e], remaining - e, slots - 1)
-
-        if n == 0:
-            if m == 0:
-                out.append(())
-            continue
-        fill_exact([], m, n)
-        level.sort(key=grade_key)
-        out.extend(level)
-    return out
+    ascending order: inside a degree, combinations_with_replacement
+    yields the symbol indices with the most of the first symbol first."""
+    return [tuple(map(combo.count, range(n)))
+            for m in range(k + 1) for combo in combinations_with_replacement(range(n), m)]

@@ -554,12 +554,6 @@ def poly_squarefree(p):
     return poly_cofactors(p, der)[0]
 
 
-def poly_lcm(p, q):
-    if p.is_zero() or q.is_zero():
-        return Polynomial.zero(p.syms)
-    return (p * poly_divexact(q, poly_gcd(p, q))).primitive_part()
-
-
 class RationalFunction:
     """A reduced fraction num/den of polynomials over Q, with no
     arithmetic: compute over Q[syms] and build the fraction last.

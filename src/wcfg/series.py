@@ -53,14 +53,6 @@ class TruncatedSeries:
                     clean[mono] = w
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, semiring, syms, order):
-        return cls(semiring, syms, order)
-
-    @classmethod
-    def one(cls, semiring, syms, order):
-        return cls(semiring, syms, order, {mono_one(len(syms)): semiring.one})
-
     def coefficient(self, mono):
         return self.coeffs.get(mono, self.semiring.zero)
 
@@ -103,12 +95,6 @@ class TruncatedSeries:
                 else:
                     out[mono] = prod
         return TruncatedSeries(sr, self.syms, order, out)
-
-    def __pow__(self, exponent):
-        result = TruncatedSeries.one(self.semiring, self.syms, self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -243,97 +229,6 @@ def _dependency_order(edges):
     return order, [i for i, count in enumerate(waiting) if count]
 
 
-class _GradedSweep:
-    """The least solution of a cycle-free algebraic system, one degree
-    at a time.
-
-    Every variable, and every product of variables that a term needs,
-    is a node holding graded slices: ``slices[n]`` maps the terminal
-    monomials of total degree n to their nonzero weights.  A product
-    X_a*X_b*X_c is X_a*X_b times X_c, each prefix a node of its own, so
-    one more degree of it is one convolution step.  Degree 0 is a fixed
-    point over scalars, found by Kleene iteration.  At degree n >= 1 a
-    term whose terminal monomial has degree d >= 1 reads its product at
-    degree n - d, already known; the same-degree reads, of terminal-free
-    terms and of products (a factor's degree-n slice times the other's
-    nonzero constant term), form a graph that is acyclic for a
-    cycle-free grammar, so every node is computed once per degree, in
-    dependency order.  A path of that graph from one variable to
-    another is a unit derivation, so a node the order cannot place lies
-    on a cycle X =>+ X or behind one, and NotCycleFree is raised with
-    the system variables left unplaced.
-    """
-
-    __slots__ = ("sr", "syms", "values", "order")
-
-    def __init__(self, system):
-        sr = self.sr = system.semiring
-        self.syms = system.terminals
-        one = mono_one(len(self.syms))
-        everywhere = range(len(system.variables))
-        equations = [
-            [(weight, tmono, [j for j in compress(everywhere, vmono)
-                              for _ in range(vmono[j])])
-             for weight, tmono, vmono in eq]
-            for eq in system.equations
-        ]
-        scalars = _scalar_fixpoint(sr, equations, system.variables)
-        self.values = [[{one: x} if not sr.is_zero(x) else {}] for x in scalars]
-        nodes = list(self.values)
-        terms = [[] for _ in everywhere]
-        computes = [partial(_rhs_slice, sr, t) for t in terms]
-        edges = [set() for _ in everywhere]
-
-        def add_node(slices, compute, needs):
-            nodes.append(slices)
-            computes.append(compute)
-            edges.append(needs)
-            return len(nodes) - 1
-
-        unit = add_node([{one: sr.one}], lambda n: {}, set())
-        products = {}  # factor tuple -> node
-        for i, eq in enumerate(equations):
-            for weight, tmono, factors in eq:
-                k = unit if not factors else factors[0]
-                for end in range(2, len(factors) + 1):
-                    key = tuple(factors[:end])
-                    if key not in products:
-                        left, right = nodes[k], nodes[factors[end - 1]]
-                        needs = {k} if right[0] else set()
-                        if left[0]:
-                            needs.add(factors[end - 1])
-                        products[key] = add_node(
-                            [_convolve(sr, left, right, 0)],
-                            partial(_convolve, sr, left, right), needs)
-                    k = products[key]
-                dt = mono_degree(tmono)
-                terms[i].append((weight, tmono, dt, nodes[k]))
-                if not dt:
-                    edges[i].add(k)
-        order, rest = _dependency_order(edges)
-        if rest:
-            raise NotCycleFree([system.variables[k] for k in rest if k in everywhere],
-                               path=False)
-        self.order = [(nodes[k], computes[k]) for k in order]
-
-    def extend(self, order):
-        """Compute degrees 1 ... ``order``, each once, in dependency
-        order."""
-        for n in range(1, order + 1):
-            for slices, compute in self.order:
-                slices.append(compute(n))
-
-    def series(self, order):
-        """One series per variable, truncated at ``order``."""
-        out = []
-        for slices in self.values:
-            coeffs = {}
-            for piece in slices:
-                coeffs.update(piece)
-            out.append(TruncatedSeries(self.sr, self.syms, order, coeffs))
-        return tuple(out)
-
-
 def _rhs_slice(sr, terms, n):
     """Degree-n slice of a right-hand side, given as its terms (weight,
     terminal monomial, its degree, graded slices of the variable
@@ -381,15 +276,83 @@ def _scalar_fixpoint(sr, equations, variables):
 def approximate(system, order):
     """The least solution of a cycle-free system truncated at total
     degree ``order``, one series per system variable (same order as
-    ``system.variables``).
+    ``system.variables``), by a graded sweep, one degree at a time.
 
-    Computed by a new graded sweep (_GradedSweep) at each call.  A
-    cyclic system, whose weights would be infinite sums, raises
-    NotCycleFree.
+    Every variable, and every product of variables that a term needs,
+    is a node holding graded slices: ``slices[n]`` maps the terminal
+    monomials of total degree n to their nonzero weights.  A product
+    X_a*X_b*X_c is X_a*X_b times X_c, each prefix a node of its own, so
+    one more degree of it is one convolution step.  Degree 0 is a fixed
+    point over scalars, found by Kleene iteration.  At degree n >= 1 a
+    term whose terminal monomial has degree d >= 1 reads its product at
+    degree n - d, already known; the same-degree reads, of terminal-free
+    terms and of products (a factor's degree-n slice times the other's
+    nonzero constant term), form a graph that is acyclic for a
+    cycle-free grammar, so every node is computed once per degree, in
+    dependency order.  A path of that graph from one variable to
+    another is a unit derivation, so a node the order cannot place lies
+    on a cycle X =>+ X or behind one: a cyclic system, whose weights
+    would be infinite sums, raises NotCycleFree with the system
+    variables left unplaced.
     """
-    sweep = _GradedSweep(system)
-    sweep.extend(order)
-    return sweep.series(order)
+    sr = system.semiring
+    syms = system.terminals
+    one = mono_one(len(syms))
+    everywhere = range(len(system.variables))
+    equations = [
+        [(weight, tmono, [j for j in compress(everywhere, vmono)
+                          for _ in range(vmono[j])])
+         for weight, tmono, vmono in eq]
+        for eq in system.equations
+    ]
+    scalars = _scalar_fixpoint(sr, equations, system.variables)
+    values = [[{one: x} if not sr.is_zero(x) else {}] for x in scalars]
+    nodes = list(values)
+    terms = [[] for _ in everywhere]
+    computes = [partial(_rhs_slice, sr, t) for t in terms]
+    edges = [set() for _ in everywhere]
+
+    def add_node(slices, compute, needs):
+        nodes.append(slices)
+        computes.append(compute)
+        edges.append(needs)
+        return len(nodes) - 1
+
+    unit = add_node([{one: sr.one}], lambda n: {}, set())
+    products = {}  # factor tuple -> node
+    for i, eq in enumerate(equations):
+        for weight, tmono, factors in eq:
+            k = unit if not factors else factors[0]
+            for end in range(2, len(factors) + 1):
+                key = tuple(factors[:end])
+                if key not in products:
+                    left, right = nodes[k], nodes[factors[end - 1]]
+                    needs = {k} if right[0] else set()
+                    if left[0]:
+                        needs.add(factors[end - 1])
+                    products[key] = add_node(
+                        [_convolve(sr, left, right, 0)],
+                        partial(_convolve, sr, left, right), needs)
+                k = products[key]
+            dt = mono_degree(tmono)
+            terms[i].append((weight, tmono, dt, nodes[k]))
+            if not dt:
+                edges[i].add(k)
+    placed, rest = _dependency_order(edges)
+    if rest:
+        raise NotCycleFree([system.variables[k] for k in rest if k in everywhere],
+                           path=False)
+    sweep = [(nodes[k], computes[k]) for k in placed]
+    for n in range(1, order + 1):
+        for slices, compute in sweep:
+            slices.append(compute(n))
+    out = []
+    for slices in values:
+        coeffs = {}
+        for piece in slices:
+            coeffs.update(piece)
+        out.append(TruncatedSeries(sr, syms, order, coeffs))
+    return tuple(out)
 
 
 def grammar_series(grammar, order):
@@ -413,7 +376,7 @@ def eval_poly_at_series(coeffs, series, order):
     ``coeffs`` lists polynomials over the terminal symbols by ascending
     power of the series argument.
     """
-    acc = TruncatedSeries.zero(RATIONALS, series.syms, order)
+    acc = TruncatedSeries(RATIONALS, series.syms, order)
     for poly in reversed(coeffs):
         acc = acc * series + poly_to_series(poly, order)
     return acc

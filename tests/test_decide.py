@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from wcfg.errors import NoUnivariateElement, SymbolMismatch
 from wcfg.linalg import nullspace
 from wcfg.groebner import univar_gcd_squarefree, univar_polynomial
 from wcfg.modular import POINT_BASES, no_root
-from wcfg.monomials import monomials_up_to_degree
+from wcfg.monomials import grade_key, monomials_up_to_degree
 from wcfg.polynomials import coefficients
 from wcfg.semirings import RATIONALS
 from wcfg.series import TruncatedSeries, approximate, eval_poly_at_series
@@ -162,6 +163,16 @@ def test_rational_reconstruct_certificate_and_its_empty_branch():
     # rank deficient: the exact nullspace finds c = d = 1
     one = Polynomial.const(("a",), 1)
     assert rational_reconstruct(series_in_a(1, 0), 0, 1) == (one, one)
+
+
+def test_monomials_up_to_degree_ascend_in_the_canonical_order():
+    # rational_reconstruct's first nullspace vector, normalized at its
+    # first nonzero entry, depends on this column order
+    for n in range(4):
+        for k in range(6):
+            brute = sorted((m for m in itertools.product(range(k + 1), repeat=n) if sum(m) <= k),
+                           key=grade_key)
+            assert monomials_up_to_degree(n, k) == brute
 
 
 @st.composite

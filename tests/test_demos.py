@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the package in src/."""
+"""Every narrative demo runs to completion against the package in src/
+and prints exactly its golden output, kept in tests/demo_outputs/."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "demo_outputs"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +21,5 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    golden = (GOLDEN / demo.with_suffix(".txt").name).read_text(encoding="utf-8")
+    assert done.stdout == golden

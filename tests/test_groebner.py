@@ -2,6 +2,7 @@ import heapq
 import importlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -62,6 +63,17 @@ def test_lead_monomial_and_monic():
     m = p.monic()
     assert m.terms[(0, 1)].is_one()
     assert m.terms[(1, 0)] == RationalFunction.const(SYMS, Fraction(1, 2))
+
+
+def test_a_view_clears_to_the_polynomial_it_presents():
+    # 2a*X1 + 1 is primitive, so its view X1 + 1/(2a) clears back to it,
+    # not to a*X1 + 1/2, a multiple by the lcm of the view's denominators
+    p = sp({(1, 0): A.scale(2), (0, 0): ONE})
+    view = p.monic()
+    assert view.terms[(0, 0)] == RationalFunction(ONE, A.scale(2))
+    assert view.cleared() == p
+    assert clear_denominators(view) == p
+    assert p.cleared() is p
 
 
 def test_poly_reduce_eliminates_leading_terms():
@@ -536,3 +548,23 @@ def test_squarefree_part_of_a_planted_square(c, u, v):
     g = SystemPolynomial(SYMS2, ("X",), {(0,): -v, (1,): one})
     p = SystemPolynomial(SYMS2, ("X",), {(0,): c}) * f * f * g
     assert univar_gcd_squarefree(p).monic() == (f * g).monic()
+
+
+_system2 = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)), _poly2, min_size=1, max_size=3,
+).map(lambda d: SystemPolynomial(SYMS2, VARS, d)).filter(lambda p: not p.is_zero())
+_factor2 = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=4), _poly2).filter(bool)
+
+
+@given(p=_system2, h=_factor2)
+@settings(max_examples=60, deadline=None)
+def test_a_view_clears_to_one_primitive_polynomial(p, h):
+    # p and p*h present one view, which clears to one polynomial: the
+    # primitive part of p, whose coefficients have a constant gcd and
+    # rational content 1
+    cleared = p.scale(h).monic().cleared()
+    assert cleared == clear_denominators(p.monic())
+    assert cleared.monic() == p.monic()
+    coeffs = list(cleared.terms.values())
+    assert reduce(poly_gcd, coeffs).is_constant() and rational_content(coeffs) == 1

@@ -48,7 +48,7 @@ def test_series_arithmetic():
     g = S(4, {(1,): Fraction(2)})                          # 2a
     assert (f + g).coefficient((1,)) == 3
     assert (f * g).coeffs == {(1,): Fraction(2), (2,): Fraction(2)}
-    assert (f ** 2).coeffs == {(0,): Fraction(1), (1,): Fraction(2), (2,): Fraction(1)}
+    assert (f * f).coeffs == {(0,): Fraction(1), (1,): Fraction(2), (2,): Fraction(1)}
 
 
 def test_series_multiplication_truncates():
